@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Sequence
 
@@ -263,6 +264,10 @@ def _cmd_check_function(args: argparse.Namespace) -> int:
         return _fail("--trials must be >= 1")
     if args.tol <= 0.0:
         return _fail("--tol must be > 0")
+    if args.seed < 0:
+        return _fail("--seed must be >= 0")
+    if not (math.isfinite(args.radius_min) and math.isfinite(args.radius_max)):
+        return _fail("--radius-min and --radius-max must be finite")
     try:
         f = _compile_point_function(args.expr, args.dim)
     except ExpressionError as exc:
@@ -303,6 +308,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         return _fail(f"--radii must be a comma-separated list of numbers, got {args.radii!r}")
     if not radii:
         return _fail("--radii is empty")
+    if not all(math.isfinite(t) for t in radii):
+        return _fail("grid radii must be finite")
     if any(t < 0.0 for t in radii):
         return _fail("grid radii must be >= 0")
     gamma = RadialSet(args.dim, points=tuple(radii))
@@ -328,6 +335,8 @@ def _cmd_sample_rotation(args: argparse.Namespace) -> int:
         return _fail("--dim must be >= 1")
     if args.count < 1:
         return _fail("--count must be >= 1")
+    if args.seed < 0:
+        return _fail("--seed must be >= 0")
     rng = np.random.default_rng(args.seed)
     for i in range(args.count):
         q = haar_sample(args.dim, rng)
@@ -412,7 +421,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         # argparse has already written its message; fold --help's 0 and
         # usage errors' 2 into the return-code contract.
         return int(exc.code) if exc.code is not None else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        # Last resort for the exit-code contract: exit 1 means "not
+        # objective", so no failure may surface as a traceback.
+        return _fail(f"unexpected {type(exc).__name__}: {exc}")
 
 
 def entry_point() -> None:

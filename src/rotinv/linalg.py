@@ -184,39 +184,8 @@ def transpose(a: SquareMatrix) -> SquareMatrix:
     return SquareMatrix(a.data.T)
 
 
-def _det_array(d: np.ndarray) -> float:
-    """Determinant of a 2-D float array via LU with partial pivoting.
-
-    Closed forms for orders 1..3; singular matrices return 0.0.
-    """
-    m = d.shape[0]
-    if m == 1:
-        return float(d[0, 0])
-    if m == 2:
-        return float(d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0])
-    if m == 3:
-        return float(
-            d[0, 0] * (d[1, 1] * d[2, 2] - d[1, 2] * d[2, 1])
-            - d[0, 1] * (d[1, 0] * d[2, 2] - d[1, 2] * d[2, 0])
-            + d[0, 2] * (d[1, 0] * d[2, 1] - d[1, 1] * d[2, 0])
-        )
-    lu = d.copy()
-    det = 1.0
-    for k in range(m):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if lu[p, k] == 0.0:
-            return 0.0
-        if p != k:
-            lu[[k, p], k:] = lu[[p, k], k:]
-            det = -det
-        det *= lu[k, k]
-        lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return float(det)
-
-
 def determinant(a: SquareMatrix) -> float:
-    return _det_array(a.data)
+    return float(np.linalg.det(a.data))
 
 
 def _orthonormalize_against(w: np.ndarray, basis: list[np.ndarray]) -> tuple[np.ndarray, float]:

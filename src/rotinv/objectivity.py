@@ -12,6 +12,8 @@ only proper rotation is the identity, and exact constructions.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -27,7 +29,15 @@ from .linalg import (
     gram_schmidt_complete,
     symmetric_eigen_extremes,
 )
-from .rotation import NonUnitVectorError, RotationMatrix, haar_sample, rotation_mapping
+# haar_sample is not called here; the benchmark's tracer
+# (perfbench/layers.py) wraps it under this module's name.
+from .rotation import (  # noqa: F401
+    NonUnitVectorError,
+    RotationMatrix,
+    haar_sample,
+    haar_stack,
+    rotation_mapping,
+)
 
 __all__ = [
     "Verdict",
@@ -52,9 +62,16 @@ __all__ = [
     "quadratic_vs_montecarlo_oracle",
 ]
 
-# Absolute tolerance for radius membership at interval endpoints and
-# isolated points.
+# Tolerance for radius membership at interval endpoints and isolated
+# points: absolute up to radius 1, relative beyond, so that rotation
+# roundoff, which grows with the radius, never reads as an escape.
 MEMBERSHIP_TOL = 1e-12
+
+# Trials per block in radial_set_closure_check, and a cap on the entries
+# of one block of rotations, which keeps a block within a few megabytes
+# at large m.
+_CLOSURE_BLOCK = 256
+_CLOSURE_BLOCK_ENTRIES = 1 << 18
 
 # Default relative tolerance for Monte-Carlo value comparisons; absorbs
 # rotation-application roundoff.
@@ -175,12 +192,18 @@ class RadialSet:
         object.__setattr__(self, "points", tuple(keep))
 
     def contains_radius(self, t: float, tol: float = MEMBERSHIP_TOL) -> bool:
-        if not math.isfinite(t):
-            return False
+        return bool(self.contains_radii(t, tol))
+
+    def contains_radii(self, t: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
+        """Elementwise membership of radii, with slack tol * max(1, t)."""
+        t = np.asarray(t, dtype=float)
+        slack = tol * np.maximum(1.0, t)
+        inside = np.zeros(t.shape, dtype=bool)
         for lo, hi in self.intervals:
-            if lo - tol <= t <= hi + tol:
-                return True
-        return any(abs(t - p) <= tol for p in self.points)
+            inside |= (lo - slack <= t) & (t <= hi + slack)
+        for p in self.points:
+            inside |= np.abs(t - p) <= slack
+        return inside & np.isfinite(t)
 
     def total_interval_length(self) -> float:
         return sum(hi - lo for lo, hi in self.intervals)
@@ -246,26 +269,28 @@ def radial_membership(a: RadialSet, x: Vector) -> bool:
     return a.contains_radius(x.norm())
 
 
-def sample_radius(a: RadialSet, rng: np.random.Generator) -> float:
-    """Draw a radius from the set, uniform over total interval length;
-    isolated points are atoms weighted like the mean interval length
-    (or 1 when there are no intervals)."""
+def _cumulative_weights(a: RadialSet) -> list[float]:
+    # Intervals weigh their length; isolated points are atoms weighted
+    # like the mean interval length (or 1 when there are no intervals).
     lengths = [hi - lo for lo, hi in a.intervals]
     atom = (sum(lengths) / len(lengths)) if lengths else 1.0
-    weights = lengths + [atom] * len(a.points)
-    total = sum(weights)
-    pick = rng.uniform(0.0, total)
-    acc = 0.0
-    index = len(weights) - 1
-    for k, w in enumerate(weights):
-        acc += w
-        if pick <= acc:
-            index = k
-            break
+    return list(itertools.accumulate(lengths + [atom] * len(a.points)))
+
+
+def _draw_radius(a: RadialSet, cumulative: list[float], rng: np.random.Generator) -> float:
+    pick = rng.uniform(0.0, cumulative[-1])
+    index = min(bisect.bisect_left(cumulative, pick), len(cumulative) - 1)
     if index < len(a.intervals):
         lo, hi = a.intervals[index]
         return float(rng.uniform(lo, hi))
     return a.points[index - len(a.intervals)]
+
+
+def sample_radius(a: RadialSet, rng: np.random.Generator) -> float:
+    """Draw a radius from the set, uniform over total interval length;
+    isolated points are atoms weighted like the mean interval length
+    (or 1 when there are no intervals)."""
+    return _draw_radius(a, _cumulative_weights(a), rng)
 
 
 def _random_unit(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -277,13 +302,26 @@ def _random_unit(m: int, rng: np.random.Generator) -> np.ndarray:
             return u / n
 
 
+def _random_units(count: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    # Rows of normalized Gaussians; a row too short to normalize is redrawn.
+    z = rng.standard_normal((count, m))
+    norms = np.linalg.norm(z, axis=1)
+    while (short := norms <= 1e-12).any():
+        z[short] = rng.standard_normal((int(short.sum()), m))
+        norms = np.linalg.norm(z, axis=1)
+    return z / norms[:, None]
+
+
 def radial_sampler(a: RadialSet) -> DomainSampler:
     """Default domain sampler for a radial set: radius from sample_radius,
-    direction uniform on the sphere."""
+    direction uniform on the sphere. The draws are those of sample_radius
+    followed by a normalized Gaussian direction."""
+    cumulative = _cumulative_weights(a)
+    m = a.dimension
 
     def sample(rng: np.random.Generator) -> Vector:
-        t = sample_radius(a, rng)
-        return Vector._trusted(t * _random_unit(a.dimension, rng))
+        t = _draw_radius(a, cumulative, rng)
+        return Vector._trusted(t * _random_unit(m, rng))
 
     return sample
 
@@ -295,33 +333,45 @@ def radial_set_closure_check(
     rotation: sample points of the set and rotations, and confirm each
     rotated point still belongs.
 
-    By the radial characterization this cannot fail; a reported escape
-    means an implementation bug (or a membership-tolerance effect for
-    isolated radii around 1e+4 and beyond, where rotation roundoff
-    outgrows the absolute membership tolerance).
+    Trials run in blocks: radii are drawn with sample_radius's weighting,
+    directions as normalized Gaussians (uniform on the sphere), and
+    Haar rotations with one stacked QR (haar_stack). A row that leaves
+    the set is checked again through radial_membership and its scalar
+    rotation before it is reported, and the report's trials is the
+    1-based index of that trial.
+
+    By the radial characterization this cannot fail; the membership
+    slack grows with the radius as rotation roundoff does, so a
+    reported escape means an implementation bug.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    escapes = 0
-    witness = None
-    for _ in range(trials):
-        t = sample_radius(a, rng)
-        direction = haar_sample(a.dimension, rng)
-        x = Vector._trusted(t * direction.data[:, 0])  # rotation applied to e1
-        q = haar_sample(a.dimension, rng)
-        qx = q.apply(x)
-        if not radial_membership(a, qx):
-            escapes += 1
-            witness = Witness(x=x, q=q, f_x=1.0, f_qx=0.0)
-            break
-    if witness is not None:
-        return ObjectivityReport(
-            verdict=Verdict.NOT_OBJECTIVE,
-            method=Method.RADIAL_REPRESENTATION,
-            trials=trials,
-            tolerance=MEMBERSHIP_TOL,
-            witness=witness,
-        )
+    m = a.dimension
+    cumulative = np.array(_cumulative_weights(a))
+    low = np.array([lo for lo, _ in a.intervals] + list(a.points))
+    high = np.array([hi for _, hi in a.intervals] + list(a.points))
+    block = max(1, min(_CLOSURE_BLOCK, _CLOSURE_BLOCK_ENTRIES // (m * m)))
+    done = 0
+    while done < trials:
+        n = min(block, trials - done)
+        picks = rng.uniform(0.0, cumulative[-1], n)
+        index = np.minimum(np.searchsorted(cumulative, picks), cumulative.size - 1)
+        radii = rng.uniform(low[index], high[index])
+        x = radii[:, None] * _random_units(n, m, rng)
+        q = haar_stack(m, n, rng)
+        qx = np.einsum("nij,nj->ni", q, x)
+        for k in np.flatnonzero(~a.contains_radii(np.linalg.norm(qx, axis=1))):
+            xk = Vector(x[k])
+            qk = RotationMatrix._trusted(SquareMatrix(q[k]))
+            if not radial_membership(a, qk.apply(xk)):
+                return ObjectivityReport(
+                    verdict=Verdict.NOT_OBJECTIVE,
+                    method=Method.RADIAL_REPRESENTATION,
+                    trials=done + int(k) + 1,
+                    tolerance=MEMBERSHIP_TOL,
+                    witness=Witness(x=xk, q=qk, f_x=1.0, f_qx=0.0),
+                )
+        done += n
     return ObjectivityReport(
         verdict=Verdict.OBJECTIVE,
         method=Method.RADIAL_REPRESENTATION,
@@ -430,18 +480,33 @@ def test_function_objectivity(
 ) -> ObjectivityReport:
     """Monte-Carlo invariance test for a black-box scalar function.
 
-    Two checks per sampled point x: a direct one against f(Qx) for a
-    Haar-random rotation Q, and a profile one against f(|x| * e1), which
-    an invariant function must match since some rotation carries x onto
-    the e1 ray. Violations are judged relative to max(1, |f(x)|). The
-    first violation ends the test with a not_objective verdict and a
-    witness; surviving the whole budget is merely "inconclusive", since
-    sampling cannot certify invariance. Dimension one is the exception:
-    there the identity is the only proper rotation, so the verdict is
-    objective outright.
+    By the characterization, f is objective exactly when it is constant
+    on every sphere, so each sampled point x with r = |x| is compared
+    against two points of its own sphere: a direct check against f(r*u)
+    for u uniform on the unit sphere, and a profile check against
+    f(r*e1), which an invariant function must match since some rotation
+    carries x onto the e1 ray. The direct check is the classical f(Qx)
+    test for a Haar-random rotation Q without drawing Q: for m >= 2 and
+    x != 0, Qx is uniformly distributed on the sphere of radius r, so
+    f(r*u) has the same distribution as f(Qx). Points within
+    MEMBERSHIP_TOL of the origin, which every rotation fixes, are
+    evaluated but not compared.
+
+    Violations are judged relative to max(1, |f(x)|). When a comparison
+    point y violates, the rotation q = rotation_mapping(x/r, y/r) is built
+    and f(qx) is evaluated again; the trial refutes only if that value
+    still separates from f(x), so the witness (x, q, f(x), f(qx)) replays
+    bit for bit through f. The first refutation ends the test with a
+    not_objective verdict whose trials is the 1-based index of the
+    refuting trial; surviving the whole budget is merely "inconclusive",
+    since sampling cannot certify invariance. Dimension one is the
+    exception: there the identity is the only proper rotation, so the
+    verdict is objective outright.
 
     `pinned` trials, pairs (x, q) checked before any random sampling,
-    let a caller guarantee that a known suspect direction is covered.
+    let a caller guarantee that a known suspect direction is covered:
+    each compares f(qx) with f(x) for its own q, then runs the profile
+    check.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -460,44 +525,51 @@ def test_function_objectivity(
     e1[0] = 1.0
     performed = 0
 
-    def check_pair(x: Vector, q: RotationMatrix) -> Witness | None:
-        fx = _checked_value(f, x)
-        threshold = tol * max(1.0, abs(fx))
-        qx = q.apply(x)
-        fqx = _checked_value(f, qx)
-        if abs(fx - fqx) > threshold:
-            return Witness(x=x, q=q, f_x=fx, f_qx=fqx)
-        r = x.norm()
-        if r > MEMBERSHIP_TOL:
-            fr = _checked_value(f, Vector._trusted(r * e1))
-            if abs(fx - fr) > threshold:
-                onto_axis = rotation_mapping(Vector(x.data / r), Vector(e1))
-                return Witness(x=x, q=onto_axis, f_x=fx, f_qx=fr)
-        return None
+    def refuted(witness: Witness) -> ObjectivityReport:
+        return ObjectivityReport(
+            verdict=Verdict.NOT_OBJECTIVE,
+            method=Method.MONTE_CARLO,
+            trials=performed,
+            tolerance=tol,
+            witness=witness,
+        )
+
+    def sphere_witness(x: Vector, fx: float, r: float, threshold: float, u: np.ndarray) -> Witness | None:
+        # Compare f(x) with f at r*u, u a unit vector; confirm a violation
+        # through the rotation carrying x onto that point.
+        fy = _checked_value(f, Vector._trusted(r * u))
+        if abs(fx - fy) <= threshold:
+            return None
+        q = rotation_mapping(Vector(x.data / r), Vector(u))
+        fqx = _checked_value(f, q.apply(x))
+        if abs(fx - fqx) <= threshold:
+            return None
+        return Witness(x=x, q=q, f_x=fx, f_qx=fqx)
 
     for x, q in pinned:
         performed += 1
-        witness = check_pair(x, q)
-        if witness is not None:
-            return ObjectivityReport(
-                verdict=Verdict.NOT_OBJECTIVE,
-                method=Method.MONTE_CARLO,
-                trials=performed,
-                tolerance=tol,
-                witness=witness,
-            )
+        fx = _checked_value(f, x)
+        threshold = tol * max(1.0, abs(fx))
+        fqx = _checked_value(f, q.apply(x))
+        if abs(fx - fqx) > threshold:
+            return refuted(Witness(x=x, q=q, f_x=fx, f_qx=fqx))
+        r = x.norm()
+        if r > MEMBERSHIP_TOL:
+            witness = sphere_witness(x, fx, r, threshold, e1)
+            if witness is not None:
+                return refuted(witness)
     for _ in range(trials):
         performed += 1
         x = sampler(rng)
-        witness = check_pair(x, haar_sample(m, rng))
-        if witness is not None:
-            return ObjectivityReport(
-                verdict=Verdict.NOT_OBJECTIVE,
-                method=Method.MONTE_CARLO,
-                trials=performed,
-                tolerance=tol,
-                witness=witness,
-            )
+        fx = _checked_value(f, x)
+        r = x.norm()
+        if r <= MEMBERSHIP_TOL:
+            continue
+        threshold = tol * max(1.0, abs(fx))
+        for u in (_random_unit(m, rng), e1):
+            witness = sphere_witness(x, fx, r, threshold, u)
+            if witness is not None:
+                return refuted(witness)
     return ObjectivityReport(
         verdict=Verdict.INCONCLUSIVE,
         method=Method.MONTE_CARLO,

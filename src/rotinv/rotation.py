@@ -12,11 +12,12 @@ import math
 
 import numpy as np
 
-from .linalg import (
+# gram_schmidt_complete is not called here; the benchmark's tracer
+# (perfbench/layers.py) wraps it under this module's name.
+from .linalg import (  # noqa: F401
     DimensionMismatchError,
     SquareMatrix,
     Vector,
-    _det_array,
     gram_schmidt_complete,
 )
 
@@ -33,6 +34,7 @@ __all__ = [
     "rotation_2d",
     "rotation_mapping",
     "haar_sample",
+    "haar_stack",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -138,7 +140,7 @@ def validate_rotation(q: SquareMatrix, tol: float = DEFAULT_TOL) -> RotationMatr
     residual = float(np.max(np.abs(d.T @ d - np.eye(q.order))))
     if residual > eff:
         raise NotOrthogonalError(f"orthogonality residual {residual:.3e} exceeds tolerance {eff:.3e}")
-    det = _det_array(d)
+    det = float(np.linalg.det(d))
     if abs(det + 1.0) <= 0.5:
         raise ReflectionError(f"determinant {det:.6f} is near -1: reflection, not a proper rotation")
     if abs(det - 1.0) > eff:
@@ -169,12 +171,15 @@ def rotation_mapping(u: Vector, v: Vector) -> RotationMatrix:
 
     For m = 2 this is the plane rotation through the angle between u and
     v (extracted with atan2, which stays stable near +/- pi). For m >= 3
-    an orthonormal basis is built whose first two vectors span {u, v};
-    the plane rotation is expressed there and embedded as
-    block-diag(Q2, I) conjugated back to the standard basis. When u and
-    v are colinear the plane is under-determined and is completed with
-    the first canonical basis vector not parallel to u, so the output is
-    deterministic.
+    it is the rotation in the plane spanned by u and a unit w orthogonal
+    to it, fixing the orthogonal complement, in closed form:
+
+        Q = I + (c - 1)(u u^T + w w^T) + s(w u^T - u w^T),
+
+    with (c, s) the coordinates of v in the (u, w) plane. w is the
+    normalized residual of v against u. When u and v are colinear the
+    plane is under-determined and w comes from the first canonical basis
+    vector not parallel to u, so the output is deterministic.
 
     For m = 1 the only proper rotation is [1], so u = -v is impossible
     and raises NoProperRotationError.
@@ -197,29 +202,44 @@ def rotation_mapping(u: Vector, v: Vector) -> RotationMatrix:
     if m == 2:
         theta = math.atan2(vd[1], vd[0]) - math.atan2(ud[1], ud[0])
         return rotation_2d(theta)
-    # m >= 3: pick the rotation plane. Spanning it with the normalized
-    # residual of v against u keeps nearly colinear pairs exact (handing
-    # v itself to Gram-Schmidt would trip its dependence threshold);
-    # only a genuinely colinear v leaves the plane under-determined, and
-    # then the first canonical axis not parallel to u completes it.
-    resid = vd - (ud @ vd) * ud
-    resid_norm = float(np.linalg.norm(resid))
-    if resid_norm < 1e-13:
-        second = _first_canonical_not_parallel(ud)
-    else:
-        second = resid / resid_norm
-    basis = gram_schmidt_complete([Vector(ud), Vector(second)], m)
-    g = np.column_stack([b.data for b in basis])
-    # Coordinates of v in the (g1, g2) plane; u is (1, 0) there.
-    a = float(vd @ g[:, 0])
-    b = float(vd @ g[:, 1])
-    block = np.eye(m)
-    block[0, 0] = a
-    block[0, 1] = -b
-    block[1, 0] = b
-    block[1, 1] = a
-    q = g @ block @ g.T
+    w = vd - (ud @ vd) * ud
+    if np.linalg.norm(w) < 1e-13:
+        w = _first_canonical_not_parallel(ud)
+        w = w - (ud @ w) * ud
+    # A second projection restores the orthogonality to u that
+    # cancellation costs a short residual.
+    w = w - (ud @ w) * ud
+    w = w / np.linalg.norm(w)
+    c = float(vd @ ud)
+    s = float(vd @ w)
+    q = np.eye(m)
+    q += (c - 1.0) * (np.outer(ud, ud) + np.outer(w, w))
+    q += s * (np.outer(w, ud) - np.outer(ud, w))
     return validate_rotation(SquareMatrix(q), DEFAULT_TOL)
+
+
+def _sign_fixed(z: np.ndarray) -> np.ndarray:
+    # QR of Gaussian matrices stacked on the leading axes, each Q column
+    # multiplied by the sign of the matching diagonal entry of R (Haar
+    # over O(m)), then a determinant of -1 folded into SO(m) by negating
+    # the last column. Only the sign of the determinant matters, which
+    # LAPACK's det gives cheaply.
+    q, r = np.linalg.qr(z)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs[signs == 0.0] = 1.0
+    q = q * signs[..., None, :]
+    q[..., -1] *= np.where(np.linalg.det(q) < 0.0, -1.0, 1.0)[..., None]
+    return q
+
+
+def haar_stack(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw count Haar-uniform samples from SO(m) as a (count, m, m) array,
+    with one stacked QR and the same sign fix as haar_sample."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if m == 1:
+        return np.ones((count, 1, 1))
+    return _sign_fixed(rng.standard_normal((count, m, m)))
 
 
 def haar_sample(m: int, rng: np.random.Generator) -> RotationMatrix:
@@ -236,13 +256,4 @@ def haar_sample(m: int, rng: np.random.Generator) -> RotationMatrix:
         raise ValueError("m must be >= 1")
     if m == 1:
         return RotationMatrix._trusted(SquareMatrix([[1.0]]))
-    z = rng.standard_normal((m, m))
-    q, r = np.linalg.qr(z)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0.0] = 1.0
-    q = q * signs
-    # Only the sign of the determinant matters here; LAPACK's det is an
-    # order of magnitude cheaper than the library LU at sampling rates.
-    if np.linalg.det(q) < 0.0:
-        q[:, -1] = -q[:, -1]
-    return RotationMatrix._trusted(SquareMatrix(q))
+    return RotationMatrix._trusted(SquareMatrix(_sign_fixed(rng.standard_normal((m, m)))))

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rotinv import cli
 from rotinv.cli import (
     MatrixFileError,
     format_matrix_file,
@@ -199,6 +200,17 @@ class TestCheckFunction:
         code2, out2, _ = run(capsys, *args)
         assert (code1, out1) == (code2, out2)
 
+    def test_negative_seed_exits_2(self, capsys):
+        code, _, err = run(capsys, "check-function", "x1", "--dim", "2", "--seed", "-1")
+        assert code == 2 and err.startswith("error:") and "--seed" in err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--radius-min", "nan"), ("--radius-max", "inf"), ("--radius-min", "-inf"),
+    ])
+    def test_non_finite_radius_range_exits_2(self, capsys, flag, value):
+        code, _, err = run(capsys, "check-function", "norm(x)", "--dim", "2", f"{flag}={value}")
+        assert code == 2 and err.startswith("error:") and "finite" in err
+
     def test_seed_is_echoed_and_reproduces(self, capsys):
         args = ("check-function", "x1", "--dim", "2", "--seed", "42", "--json")
         _, out, _ = run(capsys, *args)
@@ -232,6 +244,11 @@ class TestProfile:
         assert run(capsys, "profile", "x1", "--dim", "2", "--radii", "-1")[0] == 2
         assert run(capsys, "profile", "x1", "--dim", "2", "--radii", "")[0] == 2
 
+    @pytest.mark.parametrize("radii", ["nan", "1,inf", "-inf"])
+    def test_non_finite_radii_exit_2(self, capsys, radii):
+        code, _, err = run(capsys, "profile", "norm(x)", "--dim", "2", f"--radii={radii}")
+        assert code == 2 and err.startswith("error:") and "finite" in err
+
 
 class TestSampleRotation:
     def test_dimension_one_files(self, capsys, tmp_path):
@@ -256,6 +273,21 @@ class TestSampleRotation:
             q = parse_matrix_file(Path(f"{prefix}{i:03d}.txt").read_text())
             validate_rotation(q, tol=1e-10)
 
+    def test_output_is_pinned(self, capsys, tmp_path):
+        # The files depend on haar_sample's exact draws and sign fix; the
+        # fixtures pin them for seed 7.
+        prefix = str(tmp_path / "q_")
+        assert run(capsys, "sample-rotation", "--dim", "4", "--count", "2", "--seed", "7",
+                   "--out", prefix)[0] == 0
+        for i in range(2):
+            expected = (GOLDEN / f"sample_rotation_dim4_seed7_{i:03d}.txt").read_bytes()
+            assert Path(f"{prefix}{i:03d}.txt").read_bytes() == expected
+
+    def test_negative_seed_exits_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "sample-rotation", "--dim", "2", "--seed", "-3",
+                           "--out", str(tmp_path / "x"))
+        assert code == 2 and err.startswith("error:")
+
     def test_bad_count(self, capsys, tmp_path):
         code, _, _ = run(capsys, "sample-rotation", "--dim", "2", "--count", "0", "--out", str(tmp_path / "x"))
         assert code == 2
@@ -270,6 +302,15 @@ class TestContract:
 
     def test_version_exits_0(self, capsys):
         assert run(capsys, "--version")[0] == 0
+
+    def test_unexpected_exception_exits_2(self, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("simulated fault")
+
+        monkeypatch.setattr(cli, "extract_profile", boom)
+        code, out, err = run(capsys, "profile", "norm(x)", "--dim", "2", "--radii", "1")
+        assert code == 2 and out == ""
+        assert err == "error: unexpected RuntimeError: simulated fault\n"
 
     def test_console_entry_point(self):
         proc = subprocess.run(

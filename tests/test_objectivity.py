@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rotinv.expr import parse
+from rotinv import objectivity
+from rotinv.expr import EvalContext, evaluate, parse
 from rotinv.linalg import DimensionMismatchError, SquareMatrix, Vector
 from rotinv.objectivity import (
     Method,
@@ -26,7 +29,7 @@ from rotinv.objectivity import (
     symmetric_part,
     test_function_objectivity,
 )
-from rotinv.rotation import NonUnitVectorError, rotation_2d, validate_rotation
+from rotinv.rotation import NonUnitVectorError, haar_stack, rotation_2d, validate_rotation
 
 E1_2 = Vector([1.0, 0.0])
 
@@ -85,6 +88,22 @@ class TestMembership:
         b = RadialSet(1, points=(2.0,))
         assert b.contains_radius(2.0 - 5e-13)
 
+    def test_slack_grows_with_the_radius(self):
+        a = RadialSet(3, intervals=((0.5, 1e5),), points=(1e7,))
+        assert a.contains_radius(1e5 + 5e-8)
+        assert not a.contains_radius(1e5 + 1e-6)
+        assert a.contains_radius(1e7 - 5e-6)
+        assert not a.contains_radius(1e7 + 1e-4)
+        assert a.contains_radius(0.5 - 5e-13)
+        assert not a.contains_radius(0.5 - 2e-12)
+
+    def test_array_membership_matches_scalar(self):
+        a = RadialSet(2, intervals=((1.0, 2.0),), points=(0.0, 1e5))
+        radii = np.array([0.0, 1e-13, 0.5, 1.0 - 5e-13, 1.5, 2.0 + 3e-12, 1e5 + 5e-8, 1e5 + 1e-6,
+                          math.inf, math.nan])
+        assert a.contains_radii(radii).tolist() == [a.contains_radius(float(t)) for t in radii]
+        assert not a.contains_radius(math.inf) and not a.contains_radius(math.nan)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             radial_membership(RadialSet(3, points=(1.0,)), Vector([1.0, 0.0]))
@@ -105,6 +124,15 @@ class TestSampling:
         n_atom = sum(1 for t in draws if t == 5.0)
         # Atom weight equals the mean interval length, so about half.
         assert 350 < n_atom < 650
+
+    def test_sampler_stream_matches_sample_radius_and_random_unit(self):
+        a = RadialSet(3, intervals=((0.5, 1.0), (2.0, 4.0)), points=(7.0, 9.5))
+        sampler = radial_sampler(a)
+        rng, reference = np.random.default_rng(43), np.random.default_rng(43)
+        for _ in range(300):
+            t = sample_radius(a, reference)
+            expected = t * objectivity._random_unit(3, reference)
+            assert np.array_equal(sampler(rng).data, expected)
 
     def test_sampler_points_belong(self):
         rng = np.random.default_rng(42)
@@ -134,6 +162,47 @@ class TestClosureCheck:
     def test_requires_trials(self):
         with pytest.raises(ValueError):
             radial_set_closure_check(RadialSet(2, points=(1.0,)), 0, np.random.default_rng(0))
+
+    def test_large_isolated_radius_does_not_escape(self):
+        report = radial_set_closure_check(RadialSet(3, points=(1e5,)), 2000, np.random.default_rng(0))
+        assert report.verdict is Verdict.OBJECTIVE
+        assert report.trials == 2000
+
+    def test_escape_reports_its_trial_and_witness(self, monkeypatch):
+        # Stretch one rotation of the second block so that its point leaves
+        # the unit circle; the report names that trial, 1-based.
+        def stretched(m, count, rng):
+            q = haar_stack(m, count, rng)
+            if stretched.blocks == 1:
+                q[5] *= 2.0
+            stretched.blocks += 1
+            return q
+
+        stretched.blocks = 0
+        monkeypatch.setattr(objectivity, "haar_stack", stretched)
+        report = radial_set_closure_check(RadialSet(2, points=(1.0,)), 1000, np.random.default_rng(53))
+        assert report.verdict is Verdict.NOT_OBJECTIVE
+        assert report.trials == objectivity._CLOSURE_BLOCK + 6
+        w = report.witness
+        assert abs(w.x.norm() - 1.0) <= 1e-12
+        assert abs(w.q.apply(w.x).norm() - 2.0) <= 1e-12
+        assert (w.f_x, w.f_qx) == (1.0, 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(min_value=1, max_value=6),
+        intervals=st.lists(
+            st.tuples(st.floats(0.0, 1e8), st.floats(0.0, 1e8)).map(sorted), max_size=3
+        ),
+        points=st.lists(st.floats(0.0, 1e8), max_size=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_closure_never_fails(self, m, intervals, points, seed):
+        if not intervals and not points:
+            points = [1.0]
+        a = RadialSet(m, intervals=tuple(map(tuple, intervals)), points=tuple(points))
+        report = radial_set_closure_check(a, 300, np.random.default_rng(seed))
+        assert report.verdict is Verdict.OBJECTIVE
 
 
 class TestFiniteSets:
@@ -287,6 +356,67 @@ class TestFunctionObjectivity:
             test_function_objectivity(lambda x: 0.0, 2, sampler, 0, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
             test_function_objectivity(lambda x: 0.0, 2, sampler, 10, rng=None)
+
+    def test_sphere_comparison_point_is_uniform(self):
+        # For a radial f the calls of each trial are f(x), f(r*u), f(r*e1);
+        # the middle one carries the comparison direction u, whose mean is
+        # 0 and whose second moment E[u u^T] is I/m on the uniform sphere.
+        # Both bounds are over eight sigma out at this sample size.
+        m, n = 3, 10_000
+        calls = []
+
+        def f(x):
+            calls.append(x.data)
+            return x.norm()
+
+        sampler = radial_sampler(RadialSet(m, intervals=((0.5, 2.0),)))
+        report = test_function_objectivity(f, m, sampler, n, rng=np.random.default_rng(76))
+        assert report.verdict is Verdict.INCONCLUSIVE
+        points = np.array(calls[1::3])
+        u = points / np.linalg.norm(points, axis=1)[:, None]
+        assert np.all(np.abs(u.mean(axis=0)) < 0.05)
+        assert np.max(np.abs(u.T @ u / n - np.eye(m) / m)) < 0.03
+
+    def test_points_at_the_origin_are_not_compared(self):
+        # Every rotation fixes the origin, so no comparison point exists.
+        f = lambda x: float(x.data[0])
+        sampler = radial_sampler(RadialSet(2, points=(0.0,)))
+        report = test_function_objectivity(f, 2, sampler, 50, rng=np.random.default_rng(77))
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert report.trials == 50
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        template=st.sampled_from([
+            "x1", "x1*x2+{a}", "sin({a}*x1)+dot(x,x)", "exp({a}*x2/norm(x))",
+            "x1^2-{a}*x2^2", "dot(x,x)-{a}*x1", "{a}*x1+norm(x)^3", "abs(x2)",
+        ]),
+        a=st.floats(0.5, 2.0),
+        m=st.integers(min_value=2, max_value=6),
+        low=st.floats(0.01, 5.0),
+        width=st.floats(0.0, 20.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        pin=st.booleans(),
+    )
+    def test_every_witness_replays_exactly(self, template, a, m, low, width, seed, pin):
+        # Pinning the identity at a sampled point leaves the refutation to
+        # the profile check, whose witness must replay as well.
+        e = parse(template.format(a=repr(a)))
+        f = lambda x: evaluate(e, EvalContext.at_point(x))
+        gamma = RadialSet(m, intervals=((low, low + width),)) if width > 0.0 else RadialSet(m, points=(low,))
+        sampler = radial_sampler(gamma)
+        rng = np.random.default_rng(seed)
+        pinned = ((sampler(rng), validate_rotation(SquareMatrix(np.eye(m)))),) if pin else ()
+        tol = 1e-9
+        report = test_function_objectivity(f, m, sampler, 200, tol, rng, pinned=pinned)
+        if report.verdict is not Verdict.NOT_OBJECTIVE:
+            return
+        w = report.witness
+        assert 1 <= report.trials <= 200 + len(pinned)
+        validate_rotation(w.q.matrix)
+        assert f(w.x) == w.f_x
+        assert f(w.q.apply(w.x)) == w.f_qx
+        assert abs(w.f_x - w.f_qx) > tol * max(1.0, abs(w.f_x))
 
     def test_reports_reproduce_under_a_seed(self):
         f = lambda x: float(x.data[0] * x.data[1])

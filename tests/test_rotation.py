@@ -10,6 +10,7 @@ from rotinv.rotation import (
     NotOrthogonalError,
     ReflectionError,
     haar_sample,
+    haar_stack,
     rotation_2d,
     rotation_mapping,
     validate_rotation,
@@ -114,6 +115,26 @@ class TestRotationMapping:
             assert np.max(np.abs(q.apply(u).data - v.data)) <= 1e-10
             validate_rotation(q.matrix)
 
+    @pytest.mark.parametrize("m", [3, 4, 8, 32, 100])
+    def test_colinear_and_canonical_pairs_up_to_m_100(self, m):
+        rng = np.random.default_rng(23 + m)
+        pairs = []
+        for _ in range(10):
+            u = random_unit(m, rng).data
+            pairs += [(u, u), (u, -u)]
+            for eps in (1e-7, 1e-10, 1e-13, 1e-15):
+                near = u + eps * random_unit(m, rng).data
+                pairs += [(u, near / np.linalg.norm(near)), (u, -near / np.linalg.norm(near))]
+        for j in (0, 1, m // 2, m - 1):
+            e = np.zeros(m)
+            e[j] = 1.0
+            other = random_unit(m, rng).data
+            pairs += [(e, e), (e, -e), (-e, e), (-e, -e), (e, other), (other, -e)]
+        for u, v in pairs:
+            q = rotation_mapping(Vector(u), Vector(v))
+            assert np.max(np.abs(q.data @ u - v)) <= 1e-10
+            validate_rotation(q.matrix)
+
     def test_rejects_non_unit(self):
         with pytest.raises(NonUnitVectorError):
             rotation_mapping(Vector([2.0, 0.0]), Vector([0.0, 1.0]))
@@ -160,6 +181,20 @@ class TestHaarSample:
         for _ in range(n):
             total += haar_sample(3, rng).data[:, 0]
         assert np.all(np.abs(total / n) < 0.05)
+
+    def test_stack_samples_validate(self):
+        rng = np.random.default_rng(35)
+        for m in (2, 3, 4, 8):
+            stack = haar_stack(m, 50, rng)
+            assert stack.shape == (50, m, m)
+            for q in stack:
+                validate_rotation(SquareMatrix(q))
+        assert np.array_equal(haar_stack(1, 3, rng), np.ones((3, 1, 1)))
+
+    def test_stack_first_columns_are_centered(self):
+        # As for haar_sample: the image of e1 is uniform on the sphere.
+        q = haar_stack(3, 10_000, np.random.default_rng(36))
+        assert np.all(np.abs(q[:, :, 0].mean(axis=0)) < 0.05)
 
     def test_group_closure(self):
         rng = np.random.default_rng(33)
