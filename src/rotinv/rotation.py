@@ -228,7 +228,7 @@ def _sign_fixed(z: np.ndarray) -> np.ndarray:
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0.0] = 1.0
     q = q * signs[..., None, :]
-    q[..., -1] *= np.where(np.linalg.det(q) < 0.0, -1.0, 1.0)[..., None]
+    q[np.linalg.det(q) < 0.0, ..., -1] *= -1.0
     return q
 
 
