@@ -221,15 +221,14 @@ def rotation_mapping(u: Vector, v: Vector) -> RotationMatrix:
 def _sign_fixed(z: np.ndarray) -> np.ndarray:
     # QR of Gaussian matrices stacked on the leading axes, each Q column
     # multiplied by the sign of the matching diagonal entry of R (Haar
-    # over O(m)), then a determinant of -1 folded into SO(m) by negating
-    # the last column. Only the sign of the determinant matters, which
-    # LAPACK's det gives cheaply.
+    # over O(m)), and a determinant of -1 folded into SO(m) by negating
+    # the last column. det(Q diag(s)) = det(Q) prod(s), so the fold is
+    # one more sign on the last column; LAPACK's det gives that cheaply.
     q, r = np.linalg.qr(z)
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0.0] = 1.0
-    q = q * signs[..., None, :]
-    q[np.linalg.det(q) < 0.0, ..., -1] *= -1.0
-    return q
+    signs[..., -1] *= np.sign(np.linalg.det(q)) * np.prod(signs, axis=-1)
+    return q * signs[..., None, :]
 
 
 def haar_stack(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
