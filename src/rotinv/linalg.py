@@ -91,8 +91,9 @@ class Vector:
         return self._data.size
 
     def norm(self) -> float:
-        """Euclidean norm."""
-        return float(np.linalg.norm(self._data))
+        """Euclidean norm: sqrt(x.x), as np.linalg.norm computes it for a
+        vector, without its dispatch overhead."""
+        return math.sqrt(self._data @ self._data)
 
     def tolist(self) -> list[float]:
         return self._data.tolist()
@@ -130,6 +131,14 @@ class SquareMatrix:
         if not np.all(np.isfinite(data)):
             raise ValueError("matrix entries must be finite")
         self._data = _freeze(np.ascontiguousarray(data))
+
+    @classmethod
+    def _trusted(cls, data: np.ndarray) -> "SquareMatrix":
+        # Fast path for freshly computed square, C-contiguous arrays that
+        # are finite by construction.
+        self = object.__new__(cls)
+        self._data = _freeze(data)
+        return self
 
     @property
     def data(self) -> np.ndarray:

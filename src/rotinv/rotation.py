@@ -137,7 +137,9 @@ def validate_rotation(q: SquareMatrix, tol: float = DEFAULT_TOL) -> RotationMatr
         raise ValueError("tol must be > 0")
     d = q.data
     eff = _effective_tol(tol, q.order)
-    residual = float(np.max(np.abs(d.T @ d - np.eye(q.order))))
+    gram = d.T @ d
+    gram.flat[:: q.order + 1] -= 1.0
+    residual = float(abs(gram).max())
     if residual > eff:
         raise NotOrthogonalError(f"orthogonality residual {residual:.3e} exceeds tolerance {eff:.3e}")
     det = float(np.linalg.det(d))
@@ -202,20 +204,21 @@ def rotation_mapping(u: Vector, v: Vector) -> RotationMatrix:
     if m == 2:
         theta = math.atan2(vd[1], vd[0]) - math.atan2(ud[1], ud[0])
         return rotation_2d(theta)
-    w = vd - (ud @ vd) * ud
-    if np.linalg.norm(w) < 1e-13:
+    c = float(ud @ vd)
+    w = vd - c * ud
+    if math.sqrt(w @ w) < 1e-13:
         w = _first_canonical_not_parallel(ud)
-        w = w - (ud @ w) * ud
+        w -= (ud @ w) * ud
     # A second projection restores the orthogonality to u that
     # cancellation costs a short residual.
-    w = w - (ud @ w) * ud
-    w = w / np.linalg.norm(w)
-    c = float(vd @ ud)
+    w -= (ud @ w) * ud
+    w /= math.sqrt(w @ w)
     s = float(vd @ w)
-    q = np.eye(m)
-    q += (c - 1.0) * (np.outer(ud, ud) + np.outer(w, w))
-    q += s * (np.outer(w, ud) - np.outer(ud, w))
-    return validate_rotation(SquareMatrix(q), DEFAULT_TOL)
+    # With P = [u w], the formula is I + P^T [[c-1, -s], [s, c-1]] P.
+    p = np.array([ud, w])
+    q = p.T @ (np.array([[c - 1.0, -s], [s, c - 1.0]]) @ p)
+    q.flat[:: m + 1] += 1.0
+    return validate_rotation(SquareMatrix._trusted(q), DEFAULT_TOL)
 
 
 def _sign_fixed(z: np.ndarray) -> np.ndarray:
