@@ -73,6 +73,10 @@ EXIT_NOT_OBJECTIVE = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
+# Largest --dim accepted: sample-rotation allocates m^2 doubles, so an
+# unbounded value could exhaust memory instead of exiting 2.
+MAX_DIM = 1000
+
 # Vectors this close to unit norm are silently normalized; anything
 # farther off is rejected as a usage error.
 _NORMALIZE_SLACK = 1e-6
@@ -163,31 +167,38 @@ def report_from_document(doc: dict) -> tuple[ObjectivityReport, int | None]:
     return report, doc["seed"]
 
 
-def _emit_report(report: ObjectivityReport, seed: int | None, as_json: bool, out=None) -> None:
-    out = out or sys.stdout
+def _emit_report(report: ObjectivityReport, seed: int | None, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report_to_document(report, seed)), file=out)
+        print(json.dumps(report_to_document(report, seed)))
         return
-    print(f"verdict: {report.verdict.value}", file=out)
-    print(f"method: {report.method.value}", file=out)
+    print(f"verdict: {report.verdict.value}")
+    print(f"method: {report.method.value}")
     if report.alpha is not None:
-        print(f"alpha: {_fmt(report.alpha)}", file=out)
-    print(f"trials: {report.trials}", file=out)
-    print(f"tolerance: {_fmt(report.tolerance)}", file=out)
+        print(f"alpha: {_fmt(report.alpha)}")
+    print(f"trials: {report.trials}")
+    print(f"tolerance: {_fmt(report.tolerance)}")
     if seed is not None:
-        print(f"seed: {seed}", file=out)
+        print(f"seed: {seed}")
     if report.witness is not None:
         w = report.witness
-        print(f"witness x: {' '.join(_fmt(v) for v in w.x)}", file=out)
-        print(f"witness f(x): {_fmt(w.f_x)}", file=out)
-        print(f"witness f(Qx): {_fmt(w.f_qx)}", file=out)
+        print(f"witness x: {' '.join(_fmt(v) for v in w.x)}")
+        print(f"witness f(x): {_fmt(w.f_x)}")
+        print(f"witness f(Qx): {_fmt(w.f_qx)}")
         for row in w.q.matrix.tolist():
-            print(f"witness Q row: {' '.join(_fmt(v) for v in row)}", file=out)
+            print(f"witness Q row: {' '.join(_fmt(v) for v in row)}")
 
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def _write_text(text: str, out: str | None) -> None:
+    if out:
+        with open(out, "w", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _parse_unit_vector(text: str, label: str) -> Vector:
@@ -219,12 +230,7 @@ def _cmd_make_rotation(args: argparse.Namespace) -> int:
         # determinant-1 constraint leaves only the identity.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_OBJECTIVE
-    text = format_matrix_file(q.matrix)
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(format_matrix_file(q.matrix), args.out)
     return EXIT_OK
 
 
@@ -244,7 +250,10 @@ def _cmd_check_quadratic(args: argparse.Namespace) -> int:
 
 
 def _compile_point_function(source: str, m: int):
-    expr = parse_expression(source)
+    try:
+        expr = parse_expression(source)
+    except ExpressionError as exc:
+        raise ValueError(f"cannot parse expression: {exc}") from None
     if references_radius(expr):
         raise ValueError("the profile argument t is not allowed here; use x1..xm, norm(x), dot(x,x)")
     indices = variable_indices(expr)
@@ -258,8 +267,8 @@ def _compile_point_function(source: str, m: int):
 
 
 def _cmd_check_function(args: argparse.Namespace) -> int:
-    if args.dim < 1:
-        return _fail("--dim must be >= 1")
+    if not 1 <= args.dim <= MAX_DIM:
+        return _fail(f"--dim must be between 1 and {MAX_DIM}")
     if args.trials < 1:
         return _fail("--trials must be >= 1")
     if args.tol <= 0.0:
@@ -270,8 +279,6 @@ def _cmd_check_function(args: argparse.Namespace) -> int:
         return _fail("--radius-min and --radius-max must be finite")
     try:
         f = _compile_point_function(args.expr, args.dim)
-    except ExpressionError as exc:
-        return _fail(f"cannot parse expression: {exc}")
     except ValueError as exc:
         return _fail(str(exc))
     try:
@@ -294,12 +301,10 @@ def _cmd_check_function(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    if args.dim < 1:
-        return _fail("--dim must be >= 1")
+    if not 1 <= args.dim <= MAX_DIM:
+        return _fail(f"--dim must be between 1 and {MAX_DIM}")
     try:
         f = _compile_point_function(args.expr, args.dim)
-    except ExpressionError as exc:
-        return _fail(f"cannot parse expression: {exc}")
     except ValueError as exc:
         return _fail(str(exc))
     try:
@@ -321,18 +326,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     assert profile.samples is not None
     lines = ["t,phi"] + [f"{_fmt(t)},{_fmt(val)}" for t, val in profile.samples]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
 def _cmd_sample_rotation(args: argparse.Namespace) -> int:
-    if args.dim < 1:
-        return _fail("--dim must be >= 1")
+    if not 1 <= args.dim <= MAX_DIM:
+        return _fail(f"--dim must be between 1 and {MAX_DIM}")
     if args.count < 1:
         return _fail("--count must be >= 1")
     if args.seed < 0:
@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="Monte-Carlo invariance test for an expression in x1..xm, norm(x), dot(x,x)",
     )
     p.add_argument("expr", help="e.g. 'norm(x)^2 + sin(norm(x))'")
-    p.add_argument("--dim", type=int, required=True, help="dimension m")
+    p.add_argument("--dim", type=int, required=True, help=f"dimension m, at most {MAX_DIM}")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--radius-min", type=float, default=0.1, help="sampled radii start (default 0.1)")
@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="extract the radial profile phi(t) = f(t*e1) over a grid of radii, as CSV",
     )
     p.add_argument("expr", help="expression defining f")
-    p.add_argument("--dim", type=int, required=True, help="dimension m")
+    p.add_argument("--dim", type=int, required=True, help=f"dimension m, at most {MAX_DIM}")
     p.add_argument("--radii", required=True, help="comma-separated grid, e.g. '0,1,2.5'")
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_profile)
@@ -404,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sample-rotation",
         help="write Haar-uniform random rotations as matrix files",
     )
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=int, required=True, help=f"dimension m, at most {MAX_DIM}")
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output path prefix; files get 000.txt, 001.txt, ...")

@@ -25,6 +25,7 @@ offending subexpression; they never propagate as NaN.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .linalg import Vector
@@ -400,12 +401,6 @@ class EvalContext:
     def at_radius(cls, radius: float) -> "EvalContext":
         return cls(radius=radius)
 
-    @property
-    def m(self) -> int:
-        if self.point is None:
-            raise ValueError("profile-mode context has no dimension")
-        return self.point.dim
-
 
 def _check_finite(value: float, pos: int) -> float:
     if not math.isfinite(value):
@@ -497,46 +492,33 @@ def unparse(e: Expression) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def _nodes(e: Expression) -> Iterator[Expression]:
+    """The nodes of the tree in pre-order, without recursion."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Negate):
+            stack.append(node.operand)
+        elif isinstance(node, BinaryOp):
+            stack += (node.right, node.left)
+        elif isinstance(node, Call) and node.arg is not None:
+            stack.append(node.arg)
+
+
 def variable_indices(e: Expression) -> set[int]:
     """All coordinate indices referenced by the expression."""
-    out: set[int] = set()
-    _collect_indices(e, out)
-    return out
+    return {node.index for node in _nodes(e) if isinstance(node, Variable)}
 
 
 def references_radius(e: Expression) -> bool:
     """True when the expression mentions the profile argument t."""
-    if isinstance(e, RadiusVar):
-        return True
-    if isinstance(e, Negate):
-        return references_radius(e.operand)
-    if isinstance(e, BinaryOp):
-        return references_radius(e.left) or references_radius(e.right)
-    if isinstance(e, Call) and e.arg is not None:
-        return references_radius(e.arg)
-    return False
+    return any(isinstance(node, RadiusVar) for node in _nodes(e))
 
 
 def references_point(e: Expression) -> bool:
     """True when the expression needs a point binding (coordinates, norm, dot)."""
-    if isinstance(e, Variable):
-        return True
-    if isinstance(e, Negate):
-        return references_point(e.operand)
-    if isinstance(e, BinaryOp):
-        return references_point(e.left) or references_point(e.right)
-    if isinstance(e, Call):
-        return True if e.arg is None else references_point(e.arg)
-    return False
-
-
-def _collect_indices(e: Expression, out: set[int]) -> None:
-    if isinstance(e, Variable):
-        out.add(e.index)
-    elif isinstance(e, Negate):
-        _collect_indices(e.operand, out)
-    elif isinstance(e, BinaryOp):
-        _collect_indices(e.left, out)
-        _collect_indices(e.right, out)
-    elif isinstance(e, Call) and e.arg is not None:
-        _collect_indices(e.arg, out)
+    return any(
+        isinstance(node, Variable) or (isinstance(node, Call) and node.arg is None)
+        for node in _nodes(e)
+    )

@@ -19,10 +19,6 @@ __all__ = [
     "DimensionMismatchError",
     "DependentPrefixError",
     "NotSymmetricError",
-    "identity",
-    "matmul",
-    "apply",
-    "transpose",
     "determinant",
     "gram_schmidt_complete",
     "symmetric_eigen_extremes",
@@ -148,9 +144,6 @@ class SquareMatrix:
     def order(self) -> int:
         return self._data.shape[0]
 
-    def row(self, i: int) -> Vector:
-        return Vector(self._data[i])
-
     def tolist(self) -> list[list[float]]:
         return self._data.tolist()
 
@@ -167,30 +160,6 @@ class SquareMatrix:
 
     def __repr__(self) -> str:
         return f"SquareMatrix({self._data.tolist()!r})"
-
-
-def identity(m: int) -> SquareMatrix:
-    if m < 1:
-        raise ValueError("order must be >= 1")
-    return SquareMatrix(np.eye(m))
-
-
-def matmul(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
-    """Matrix product a @ b of two matrices of equal order."""
-    if a.order != b.order:
-        raise DimensionMismatchError(f"cannot multiply order {a.order} by order {b.order}")
-    return SquareMatrix(a.data @ b.data)
-
-
-def apply(q: SquareMatrix, x: Vector) -> Vector:
-    """Matrix-vector product q @ x, with x as a column vector."""
-    if q.order != x.dim:
-        raise DimensionMismatchError(f"cannot apply order {q.order} matrix to dimension {x.dim} vector")
-    return Vector(q.data @ x.data)
-
-
-def transpose(a: SquareMatrix) -> SquareMatrix:
-    return SquareMatrix(a.data.T)
 
 
 def determinant(a: SquareMatrix) -> float:
@@ -256,9 +225,11 @@ def symmetric_eigen_extremes(s: SquareMatrix) -> tuple[float, Vector, float, Vec
     """
     d = s.data
     m = s.order
-    fro = float(np.linalg.norm(d))
-    if float(np.max(np.abs(d - d.T))) > 1e-12 * max(1.0, fro):
+    # Relative to the largest entry, which cannot overflow the way the
+    # Frobenius norm does at large scale.
+    if float(np.max(np.abs(d - d.T))) > 1e-12 * float(np.max(np.abs(d))):
         raise NotSymmetricError("matrix is not symmetric within 1e-12 relative")
+    fro = float(np.linalg.norm(d))
     a = 0.5 * (d + d.T)  # exactly symmetric work copy
     v = np.eye(m)
     threshold = JACOBI_TOL * fro

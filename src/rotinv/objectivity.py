@@ -77,8 +77,8 @@ _CLOSURE_BLOCK_ENTRIES = 1 << 18
 # rotation-application roundoff.
 DEFAULT_FUNCTION_TOL = 1e-9
 
-# Default tolerance for the exact quadratic decision, scaled by the
-# magnitude of the symmetric part.
+# Default tolerance for the exact quadratic decision, relative to the
+# largest entry of the symmetric part.
 DEFAULT_QUADRATIC_TOL = 1e-10
 
 
@@ -204,9 +204,6 @@ class RadialSet:
         for p in self.points:
             inside |= np.abs(t - p) <= slack
         return inside & np.isfinite(t)
-
-    def total_interval_length(self) -> float:
-        return sum(hi - lo for lo, hi in self.intervals)
 
 
 @dataclass(frozen=True)
@@ -393,15 +390,8 @@ def finite_set_objectivity(points: Sequence[Vector], m: int) -> ObjectivityRepor
     for k, p in enumerate(points):
         if p.dim != m:
             raise DimensionMismatchError(f"point {k} has dimension {p.dim}, expected {m}")
-    if m == 1:
-        return ObjectivityReport(
-            verdict=Verdict.OBJECTIVE,
-            method=Method.RADIAL_REPRESENTATION,
-            trials=0,
-            tolerance=MEMBERSHIP_TOL,
-        )
     nonzero = [p for p in points if p.norm() > MEMBERSHIP_TOL]
-    if not nonzero:
+    if m == 1 or not nonzero:
         return ObjectivityReport(
             verdict=Verdict.OBJECTIVE,
             method=Method.RADIAL_REPRESENTATION,
@@ -602,22 +592,17 @@ def quadratic_objectivity(
     rotation carrying the minimizing direction onto the maximizing one
     changes the value by the whole spectral gap.
 
-    In dimension one every function is objective, so m = 1 always passes.
+    The tolerance is tol * max|H_s| with no absolute floor, so the
+    verdict does not depend on the scale of H (exactly so under
+    power-of-two scaling) and the zero form is objective. In dimension
+    one alpha is h_00 and the residual is zero, so m = 1 always passes.
     """
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
     hs = symmetric_part(qf.h)
     m = qf.order
     alpha = float(np.trace(hs.data)) / m
-    eff_tol = tol * max(1.0, float(np.max(np.abs(hs.data))))
-    if m == 1:
-        return ObjectivityReport(
-            verdict=Verdict.OBJECTIVE,
-            method=Method.EXACT_QUADRATIC,
-            trials=0,
-            tolerance=eff_tol,
-            alpha=alpha,
-        )
+    eff_tol = tol * float(np.max(np.abs(hs.data)))
     residual = float(np.max(np.abs(hs.data - alpha * np.eye(m))))
     if residual <= eff_tol:
         return ObjectivityReport(
@@ -660,8 +645,6 @@ def quadratic_vs_montecarlo_oracle(
         raise ValueError("trials must be >= 100")
     exact = quadratic_objectivity(qf)
     m = qf.order
-    if m == 1:
-        return True  # both sides are objective by the dimension-one degeneracy
     sampler = radial_sampler(RadialSet(m, intervals=((0.5, 2.0),)))
     pinned = ((exact.witness.x, exact.witness.q),) if exact.witness is not None else ()
     mc = test_function_objectivity(

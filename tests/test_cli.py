@@ -312,6 +312,20 @@ class TestContract:
         assert code == 2 and out == ""
         assert err == "error: unexpected RuntimeError: simulated fault\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["check-function", "norm(x)", "--trials", "1"],
+        ["profile", "norm(x)", "--radii", "1"],
+        ["sample-rotation", "--out"],
+    ])
+    def test_dim_above_cap_exits_2(self, capsys, tmp_path, argv):
+        # Only MAX_DIM + 1 is tried: an uncapped huge --dim could exhaust memory.
+        if argv[-1] == "--out":
+            argv = argv + [str(tmp_path / "q_")]
+        code, out, err = run(capsys, *argv, "--dim", str(cli.MAX_DIM + 1))
+        assert code == 2 and out == ""
+        assert err == f"error: --dim must be between 1 and {cli.MAX_DIM}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "rotinv", "--version"],

@@ -9,13 +9,9 @@ from rotinv.linalg import (
     NotSymmetricError,
     SquareMatrix,
     Vector,
-    apply,
     determinant,
     gram_schmidt_complete,
-    identity,
-    matmul,
     symmetric_eigen_extremes,
-    transpose,
 )
 
 ROT90 = SquareMatrix([[0.0, -1.0], [1.0, 0.0]])
@@ -49,63 +45,13 @@ class TestConstruction:
 
     def test_equality(self):
         assert Vector([1, 2]) == Vector([1.0, 2.0])
-        assert SquareMatrix([[1, 0], [0, 1]]) == identity(2)
-
-
-class TestMatmul:
-    def test_identity(self):
-        assert matmul(identity(2), identity(2)) == identity(2)
-
-    def test_rot90_squared(self):
-        # Hand arithmetic: rotating twice by 90 degrees negates.
-        assert matmul(ROT90, ROT90) == SquareMatrix([[-1.0, 0.0], [0.0, -1.0]])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            matmul(identity(2), identity(3))
-
-    def test_transpose_of_product(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            m = int(rng.integers(1, 7))
-            a = SquareMatrix(rng.standard_normal((m, m)))
-            b = SquareMatrix(rng.standard_normal((m, m)))
-            lhs = transpose(matmul(a, b))
-            rhs = matmul(transpose(b), transpose(a))
-            assert np.max(np.abs(lhs.data - rhs.data)) <= 1e-12
-
-
-class TestApply:
-    def test_identity(self):
-        assert apply(identity(3), Vector([1, 2, 3])) == Vector([1, 2, 3])
-
-    def test_rot90(self):
-        assert apply(ROT90, Vector([1, 0])) == Vector([0, 1])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            apply(identity(2), Vector([1, 2, 3]))
-
-
-class TestTranspose:
-    def test_identity(self):
-        assert transpose(identity(2)) == identity(2)
-
-    def test_entries_swap(self):
-        assert transpose(SquareMatrix([[1, 2], [3, 4]])) == SquareMatrix([[1, 3], [2, 4]])
-
-    def test_involution(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            m = int(rng.integers(1, 9))
-            a = SquareMatrix(rng.standard_normal((m, m)))
-            assert transpose(transpose(a)) == a
+        assert SquareMatrix([[1, 0], [0, 1]]) == SquareMatrix(np.eye(2))
 
 
 class TestDeterminant:
     def test_identity(self):
         for m in range(1, 7):
-            assert determinant(identity(m)) == pytest.approx(1.0, abs=1e-14)
+            assert determinant(SquareMatrix(np.eye(m))) == pytest.approx(1.0, abs=1e-14)
 
     def test_rot90(self):
         # Closed-form 2x2: 0*0 - (-1)*1 = 1.
@@ -138,7 +84,7 @@ class TestDeterminant:
 
             a = SquareMatrix(well_conditioned())
             b = SquareMatrix(well_conditioned())
-            lhs = determinant(matmul(a, b))
+            lhs = determinant(SquareMatrix(a.data @ b.data))
             rhs = determinant(a) * determinant(b)
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
@@ -219,8 +165,10 @@ class TestSymmetricEigenExtremes:
         assert umax.data[0] * umax.data[1] > 0
 
     def test_rejects_non_symmetric(self):
-        with pytest.raises(NotSymmetricError):
-            symmetric_eigen_extremes(SquareMatrix([[0.0, 1.0], [0.0, 0.0]]))
+        # At 1e300 the Frobenius norm overflows, so it cannot scale the check.
+        for scale in (1.0, 1e300):
+            with pytest.raises(NotSymmetricError):
+                symmetric_eigen_extremes(SquareMatrix([[0.0, scale], [0.0, 0.0]]))
 
     def test_residuals_and_rayleigh_bounds(self):
         rng = np.random.default_rng(12)

@@ -467,6 +467,7 @@ class TestQuadraticObjectivity:
         report = quadratic_objectivity(QuadraticForm(SquareMatrix([[0.0, 5.0], [-5.0, 0.0]])))
         assert report.verdict is Verdict.OBJECTIVE
         assert report.alpha == 0.0
+        assert report.tolerance == 0.0  # relative to max|H_s| = 0, with no floor
 
     def test_diagonal_one_two(self):
         report = quadratic_objectivity(QuadraticForm(SquareMatrix([[1.0, 0.0], [0.0, 2.0]])))
@@ -476,6 +477,28 @@ class TestQuadraticObjectivity:
         assert w.f_qx == pytest.approx(2.0, abs=1e-12)
         assert np.allclose(np.abs(w.x.data), [1.0, 0.0])
         validate_rotation(w.q.matrix)
+
+    def test_tiny_anisotropic_form_is_not_objective(self):
+        # diag(1, 2) is not objective, so no scale of it may be.
+        qf = QuadraticForm(SquareMatrix(1e-300 * np.diag([1.0, 2.0])))
+        report = quadratic_objectivity(qf)
+        assert report.verdict is Verdict.NOT_OBJECTIVE
+        w = report.witness
+        assert abs(w.f_x - w.f_qx) > report.tolerance
+        assert qf.value(w.q.apply(w.x)) == w.f_qx
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(min_value=1, max_value=5),
+        entries=st.lists(st.integers(min_value=-8, max_value=8), min_size=25, max_size=25),
+        k=st.integers(min_value=-400, max_value=400),
+    )
+    def test_power_of_two_scaling_keeps_the_verdict(self, m, entries, k):
+        # Scaling by 2^k is exact, so the verdicts must be equal, not just close.
+        h = np.array(entries[: m * m], dtype=float).reshape(m, m)
+        base = quadratic_objectivity(QuadraticForm(SquareMatrix(h)))
+        scaled = quadratic_objectivity(QuadraticForm(SquareMatrix(np.ldexp(h, k))))
+        assert scaled.verdict is base.verdict
 
     def test_shear_witness_spans_the_gap(self):
         # H_s = [[1,1],[1,1]] has eigenvalues 0 and 2.

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rotinv.linalg import DimensionMismatchError, SquareMatrix, Vector, determinant, matmul
+from rotinv.linalg import DimensionMismatchError, SquareMatrix, Vector, determinant
 from rotinv.rotation import (
     NonUnitVectorError,
     NoProperRotationError,
@@ -201,7 +201,7 @@ class TestHaarSample:
         for m in (2, 3, 6):
             q1 = haar_sample(m, rng)
             q2 = haar_sample(m, rng)
-            validate_rotation(matmul(q1.matrix, q2.matrix), tol=1e-9)
+            validate_rotation(SquareMatrix(q1.data @ q2.data), tol=1e-9)
 
     def test_norm_preservation(self):
         rng = np.random.default_rng(34)
