@@ -38,6 +38,8 @@ from .expr import (
 )
 from .linalg import SquareMatrix, Vector
 from .objectivity import (
+    DEFAULT_FUNCTION_TOL,
+    DEFAULT_QUADRATIC_TOL,
     Method,
     NonFiniteValueError,
     ObjectivityReport,
@@ -372,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="decide exactly whether x^T H x is rotation-invariant, for H from a matrix file",
     )
     p.add_argument("matrix", help="matrix file: order m, then m rows of m numbers")
-    p.add_argument("--tol", type=float, default=1e-10, help="decision tolerance (default 1e-10)")
+    p.add_argument("--tol", type=float, default=DEFAULT_QUADRATIC_TOL,
+                   help="decision tolerance (default %(default)s)")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.set_defaults(func=_cmd_check_quadratic)
 
@@ -386,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--radius-min", type=float, default=0.1, help="sampled radii start (default 0.1)")
     p.add_argument("--radius-max", type=float, default=10.0, help="sampled radii end (default 10)")
-    p.add_argument("--tol", type=float, default=1e-9, help="relative violation tolerance (default 1e-9)")
+    p.add_argument("--tol", type=float, default=DEFAULT_FUNCTION_TOL,
+                   help="relative violation tolerance (default %(default)s)")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.set_defaults(func=_cmd_check_function)
 

@@ -25,8 +25,10 @@ offending subexpression; they never propagate as NaN.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .linalg import Vector
 
@@ -66,7 +68,12 @@ SCALAR_FUNCTIONS = {
 }
 VECTOR_FUNCTIONS = ("norm", "dot")
 
-_BINARY_OPS = ("+", "-", "*", "/", "^")
+# Left and right binding powers of the binary operators (Pratt, "Top Down
+# Operator Precedence", 1973). A left-associative operator binds more
+# tightly on its right; '^' binds more tightly on its left, which makes it
+# right-associative. Unary minus binds before all of them.
+_BINDING_POWER = {"+": (1, 2), "-": (1, 2), "*": (3, 4), "/": (3, 4), "^": (6, 5)}
+_NEGATE_POWER = 7
 
 
 class ExpressionError(Exception):
@@ -160,7 +167,7 @@ class BinaryOp(Expression):
     pos: int = field(default=0, compare=False)
 
     def __post_init__(self):
-        if self.op not in _BINARY_OPS:
+        if self.op not in _BINDING_POWER:
             raise ValueError(f"unknown operator {self.op!r}")
 
 
@@ -186,16 +193,22 @@ class Call(Expression):
 
 # --- lexer -----------------------------------------------------------------
 
-_T_NUMBER = "number"
-_T_IDENT = "ident"
-_T_PUNCT = "punct"
-_T_EOF = "end of input"
+# One token after optional whitespace, in ASCII classes only: a non-ASCII
+# digit or letter is an unexpected character. Every other non-whitespace
+# character starts a match, so matches leave no gap. A number matches
+# greedily and is checked after: a point or exponent needs a digit next.
+_TOKEN = re.compile(
+    r"[ \t\r\n]*(?:"
+    r"(?P<number>(?=[0-9.])[0-9]*(?P<fraction>\.[0-9]*)?(?:[eE][+-]?(?P<exponent>[0-9]*))?)"
+    r"|(?P<ident>[A-Za-z][A-Za-z0-9]*)"
+    r"|(?P<punct>[-+*/^(),])"
+    r"|(?P<other>[^ \t\r\n]))"
+)
 
-_PUNCT = set("+-*/^(),")
+_EOF = "end of input"
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     value: float
@@ -209,45 +222,23 @@ def _tokenize(source: str) -> list[_Token]:
         return i if is_ascii else len(source[:i].encode("utf-8"))
 
     tokens: list[_Token] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_T_PUNCT, ch, 0.0, byte_offset(i)))
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            if i < n and source[i] == ".":
-                i += 1
-                if i >= n or not source[i].isdigit():
-                    raise LexicalError("expected a digit after the decimal point", byte_offset(i))
-                while i < n and source[i].isdigit():
-                    i += 1
-            if i < n and source[i] in "eE":
-                i += 1
-                if i < n and source[i] in "+-":
-                    i += 1
-                if i >= n or not source[i].isdigit():
-                    raise LexicalError("expected a digit in the exponent", byte_offset(i))
-                while i < n and source[i].isdigit():
-                    i += 1
-            tokens.append(_Token(_T_NUMBER, source[start:i], float(source[start:i]), byte_offset(start)))
-            continue
-        if ch.isalpha() and ch.isascii():
-            start = i
-            while i < n and source[i].isalnum() and source[i].isascii():
-                i += 1
-            tokens.append(_Token(_T_IDENT, source[start:i], 0.0, byte_offset(start)))
-            continue
-        raise LexicalError(f"unexpected character {ch!r}", byte_offset(i))
-    tokens.append(_Token(_T_EOF, "", 0.0, byte_offset(n)))
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        text = m[kind]
+        pos = byte_offset(m.start(kind))
+        value = 0.0
+        if kind == "other":
+            raise LexicalError(f"unexpected character {text!r}", pos)
+        if kind == "number":
+            if m["fraction"] == ".":
+                raise LexicalError("expected a digit after the decimal point", byte_offset(m.end("fraction")))
+            if m["exponent"] == "":
+                raise LexicalError("expected a digit in the exponent", byte_offset(m.end("exponent")))
+            value = float(text)
+            if value == math.inf:
+                raise LexicalError("number is too large for a double", pos)
+        tokens.append(_Token(kind, text, value, pos))
+    tokens.append(_Token(_EOF, "", 0.0, byte_offset(len(source))))
     return tokens
 
 
@@ -267,64 +258,41 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_punct(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != _T_PUNCT or tok.text != text:
-            got = tok.text or tok.kind
-            raise ParseError(f"expected {text!r}, found {got!r}", tok.pos)
-        return self.advance()
+    def expect(self, text: str) -> None:
+        tok = self.advance()
+        if tok.text != text:
+            raise ParseError(f"expected {text!r}, found {tok.text or tok.kind!r}", tok.pos)
 
     def parse(self) -> Expression:
         e = self.expr()
         tok = self.peek()
-        if tok.kind != _T_EOF:
+        if tok.kind != _EOF:
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
         return e
 
-    def expr(self) -> Expression:
-        left = self.term()
-        while self.peek().kind == _T_PUNCT and self.peek().text in "+-":
-            op = self.advance()
-            right = self.term()
-            left = BinaryOp(op.text, left, right, pos=op.pos)
-        return left
-
-    def term(self) -> Expression:
-        left = self.factor()
-        while self.peek().kind == _T_PUNCT and self.peek().text in "*/":
-            op = self.advance()
-            right = self.factor()
-            left = BinaryOp(op.text, left, right, pos=op.pos)
-        return left
-
-    def factor(self) -> Expression:
-        base = self.unary()
-        tok = self.peek()
-        if tok.kind == _T_PUNCT and tok.text == "^":
-            self.advance()
-            exponent = self.factor()  # right-associative
-            return BinaryOp("^", base, exponent, pos=tok.pos)
-        return base
-
-    def unary(self) -> Expression:
-        tok = self.peek()
-        if tok.kind == _T_PUNCT and tok.text == "-":
-            self.advance()
-            return Negate(self.unary(), pos=tok.pos)
-        return self.primary()
-
-    def primary(self) -> Expression:
+    def expr(self, min_power: int = 0) -> Expression:
+        """Parse operands joined by operators whose left binding power is at
+        least min_power."""
         tok = self.advance()
-        if tok.kind == _T_NUMBER:
-            return Literal(tok.value, pos=tok.pos)
-        if tok.kind == _T_PUNCT and tok.text == "(":
-            inner = self.expr()
-            self.expect_punct(")")
-            return inner
-        if tok.kind == _T_IDENT:
-            return self.identifier(tok)
-        got = tok.text or tok.kind
-        raise ParseError(f"expected a number, variable, function call, or '(', found {got!r}", tok.pos)
+        if tok.text == "-":
+            left = Negate(self.expr(_NEGATE_POWER), pos=tok.pos)
+        elif tok.text == "(":
+            left = self.expr()
+            self.expect(")")
+        elif tok.kind == "number":
+            left = Literal(tok.value, pos=tok.pos)
+        elif tok.kind == "ident":
+            left = self.identifier(tok)
+        else:
+            found = tok.text or tok.kind
+            raise ParseError(f"expected a number, variable, function call, or '(', found {found!r}", tok.pos)
+        while True:
+            op = self.peek()
+            powers = _BINDING_POWER.get(op.text)
+            if powers is None or powers[0] < min_power:
+                return left
+            self.i += 1
+            left = BinaryOp(op.text, left, self.expr(powers[1]), pos=op.pos)
 
     def identifier(self, tok: _Token) -> Expression:
         name = tok.text
@@ -338,34 +306,24 @@ class _Parser:
                 raise ParseError("variable indices are 1-based: x1 is the first coordinate", tok.pos)
             return Variable(index, pos=tok.pos)
         if name in SCALAR_FUNCTIONS:
-            self.expect_punct("(")
-            if self._at_punct(")"):
+            self.expect("(")
+            if self.peek().text == ")":
                 raise ArityError(f"{name} takes exactly one argument", self.peek().pos)
             arg = self.expr()
-            if self._at_punct(","):
+            if self.peek().text == ",":
                 raise ArityError(f"{name} takes exactly one argument", self.peek().pos)
-            self.expect_punct(")")
+            self.expect(")")
             return Call(name, arg, pos=tok.pos)
         if name in VECTOR_FUNCTIONS:
-            self.expect_punct("(")
-            self._expect_vector_symbol(name)
-            if name == "dot":
-                self.expect_punct(",")
-                self._expect_vector_symbol(name)
-            self.expect_punct(")")
+            self.expect("(")
+            for follow in (",", ")") if name == "dot" else (")",):
+                symbol = self.advance()
+                if symbol.text != "x":
+                    found = symbol.text or symbol.kind
+                    raise ArityError(f"{name} takes the whole-vector symbol x, found {found!r}", symbol.pos)
+                self.expect(follow)
             return Call(name, None, pos=tok.pos)
         raise UnknownFunctionError(f"unknown function or variable {name!r}", tok.pos)
-
-    def _at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == _T_PUNCT and tok.text == text
-
-    def _expect_vector_symbol(self, fname: str) -> None:
-        tok = self.peek()
-        if tok.kind == _T_IDENT and tok.text == "x":
-            self.advance()
-            return
-        raise ArityError(f"{fname} takes the whole-vector symbol x, found {tok.text or tok.kind!r}", tok.pos)
 
 
 def parse(source: str) -> Expression:

@@ -227,8 +227,14 @@ def symmetric_eigen_extremes(s: SquareMatrix) -> tuple[float, Vector, float, Vec
     m = s.order
     # Relative to the largest entry, which cannot overflow the way the
     # Frobenius norm does at large scale.
-    if float(np.max(np.abs(d - d.T))) > 1e-12 * float(np.max(np.abs(d))):
+    top = float(np.max(np.abs(d)))
+    if float(np.max(np.abs(d - d.T))) > 1e-12 * top:
         raise NotSymmetricError("matrix is not symmetric within 1e-12 relative")
+    # Jacobi squares entries, so it works on a copy scaled by the power of
+    # two that brings the largest entry into [0.5, 1): the scaling is exact,
+    # and the largest squares neither overflow nor underflow.
+    k = math.frexp(top)[1]
+    d = np.ldexp(d, -k)
     fro = float(np.linalg.norm(d))
     a = 0.5 * (d + d.T)  # exactly symmetric work copy
     v = np.eye(m)
@@ -272,4 +278,4 @@ def symmetric_eigen_extremes(s: SquareMatrix) -> tuple[float, Vector, float, Vec
     imax = int(np.argmax(eigvals))
     u_min = v[:, imin] / np.linalg.norm(v[:, imin])
     u_max = v[:, imax] / np.linalg.norm(v[:, imax])
-    return float(eigvals[imin]), Vector(u_min), float(eigvals[imax]), Vector(u_max)
+    return math.ldexp(eigvals[imin], k), Vector(u_min), math.ldexp(eigvals[imax], k), Vector(u_max)

@@ -32,6 +32,7 @@ from .linalg import (
 # haar_sample is not called here; the benchmark's tracer
 # (perfbench/layers.py) wraps it under this module's name.
 from .rotation import (  # noqa: F401
+    UNIT_TOL,
     NonUnitVectorError,
     RotationMatrix,
     haar_sample,
@@ -191,13 +192,13 @@ class RadialSet:
         object.__setattr__(self, "intervals", tuple(merged))
         object.__setattr__(self, "points", tuple(keep))
 
-    def contains_radius(self, t: float, tol: float = MEMBERSHIP_TOL) -> bool:
-        return bool(self.contains_radii(t, tol))
+    def contains_radius(self, t: float) -> bool:
+        return bool(self.contains_radii(t))
 
-    def contains_radii(self, t: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
-        """Elementwise membership of radii, with slack tol * max(1, t)."""
+    def contains_radii(self, t: np.ndarray) -> np.ndarray:
+        """Elementwise membership of radii, with slack MEMBERSHIP_TOL * max(1, t)."""
         t = np.asarray(t, dtype=float)
-        slack = tol * np.maximum(1.0, t)
+        slack = MEMBERSHIP_TOL * np.maximum(1.0, t)
         inside = np.zeros(t.shape, dtype=bool)
         for lo, hi in self.intervals:
             inside |= (lo - slack <= t) & (t <= hi + slack)
@@ -432,7 +433,7 @@ def extract_profile(
 ) -> RadialProfile:
     """Sample the radial profile phi(t) = f(t * u0) over a grid of radii
     drawn from the radius set. u0 must be a unit vector."""
-    if abs(u0.norm() - 1.0) > 1e-10:
+    if abs(u0.norm() - 1.0) > UNIT_TOL:
         raise NonUnitVectorError(f"u0 must be a unit vector (norm {u0.norm()!r})")
     samples: list[tuple[float, float]] = []
     for t in grid:

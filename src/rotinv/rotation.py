@@ -235,8 +235,15 @@ def _sign_fixed(z: np.ndarray) -> np.ndarray:
 
 
 def haar_stack(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw count Haar-uniform samples from SO(m) as a (count, m, m) array,
-    with one stacked QR and the same sign fix as haar_sample."""
+    """Draw count Haar-uniform samples from SO(m) as a (count, m, m) array.
+
+    Standard-normal fill, one stacked QR factorization, then each column
+    of an orthogonal factor is multiplied by the sign of the corresponding
+    diagonal entry of its triangular factor (making the distribution Haar
+    over O(m)); a determinant of -1 is folded into SO(m) by negating the
+    last column. Reproducible: the same generator state yields a
+    bitwise-identical stack.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
     if m == 1:
@@ -245,17 +252,5 @@ def haar_stack(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def haar_sample(m: int, rng: np.random.Generator) -> RotationMatrix:
-    """Draw a Haar-uniform sample from SO(m).
-
-    Standard-normal fill, QR factorization, then each column of the
-    orthogonal factor is multiplied by the sign of the corresponding
-    diagonal entry of the triangular factor (making the distribution
-    Haar over O(m)); a determinant of -1 is folded into SO(m) by
-    negating the last column. Reproducible: the same generator state
-    yields a bitwise-identical matrix.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m == 1:
-        return RotationMatrix._trusted(SquareMatrix([[1.0]]))
-    return RotationMatrix._trusted(SquareMatrix(_sign_fixed(rng.standard_normal((m, m)))))
+    """Draw one Haar-uniform sample from SO(m), as haar_stack(m, 1, rng)."""
+    return RotationMatrix._trusted(SquareMatrix._trusted(haar_stack(m, 1, rng)[0]))

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotinv import cli
 from rotinv.cli import (
@@ -15,7 +20,9 @@ from rotinv.cli import (
     report_from_document,
     report_to_document,
 )
-from rotinv.linalg import SquareMatrix
+from rotinv.expr import EvalContext, evaluate, parse
+from rotinv.linalg import SquareMatrix, Vector
+from rotinv.objectivity import QuadraticForm
 from rotinv.rotation import validate_rotation
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -145,6 +152,17 @@ class TestCheckQuadratic:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check-quadratic", "/no/such/file")
         assert code == 2 and "cannot read" in err
+
+    @pytest.mark.parametrize("rows", ["1e200 1e200\n1e200 1e200", "0 1e-300\n1e-300 0"])
+    def test_extreme_scale_witness_replays(self, capsys, tmp_path, rows):
+        path = tmp_path / "h.txt"
+        path.write_text(f"2\n{rows}\n")
+        code, out, err = run(capsys, "check-quadratic", str(path), "--json")
+        assert (code, err) == (1, "")
+        report, _ = report_from_document(json.loads(out))
+        w = report.witness
+        qf = QuadraticForm(parse_matrix_file(path.read_text()))
+        assert qf.value(w.x) == w.f_x and qf.value(w.q.apply(w.x)) == w.f_qx
 
     def test_json_document_round_trips(self, capsys, diag12):
         _, out, _ = run(capsys, "check-quadratic", diag12, "--json")
@@ -333,3 +351,72 @@ class TestContract:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("rotinv ")
+
+
+def run_quiet(*argv):
+    # capsys is function-scoped, so Hypothesis tests capture by hand.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def assert_witness_iff_exit_1(code, out, f):
+    """Exit 1 carries a JSON witness that replays through validate_rotation
+    and the scalar function f; exit 0 and 3 carry none."""
+    if code == 2:
+        assert out == ""
+        return
+    doc = json.loads(out)
+    assert ("witness" in doc) == (code == 1)
+    if code == 1:
+        w = doc["witness"]
+        q = validate_rotation(SquareMatrix(w["q"]))
+        x = Vector(w["x"])
+        assert f(x) == w["f_x"] and f(q.apply(x)) == w["f_qx"]
+
+
+# make-rotation's impossible flip in dimension one exits 1 without a
+# witness by design (nothing is being tested for objectivity), so these
+# properties cover only the two commands that report a verdict.
+class TestExitOneMeansWitness:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m=st.integers(min_value=1, max_value=4),
+        entries=st.lists(st.integers(min_value=-5, max_value=5), min_size=16, max_size=16),
+        k=st.integers(min_value=-1000, max_value=1000),
+    )
+    def test_check_quadratic(self, m, entries, k):
+        # Integer entries scaled by 2^k: a finite matrix always gets a verdict.
+        h = SquareMatrix(np.ldexp(np.array(entries[: m * m], dtype=float).reshape(m, m), k))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "h.txt"
+            path.write_text(format_matrix_file(h))
+            code, out = run_quiet("check-quadratic", str(path), "--json")
+        assert code in (0, 1)
+        assert_witness_iff_exit_1(code, out, QuadraticForm(h).value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(min_value=1, max_value=4),
+        source=st.sampled_from([
+            "norm(x)^2 + sin(norm(x))",
+            "sqrt(dot(x,x)) - norm(x)",
+            "x1",
+            "x1*x2 + {a}",
+            "dot(x,x) - {a}*x1",
+            "exp({a}*x1/norm(x))",
+            "abs(x1) + {a}*abs(x2)",
+            "log(x1 - 20)",
+        ]),
+        a=st.floats(min_value=0.5, max_value=2.0),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_check_function(self, m, source, a, seed):
+        source = source.format(a=repr(a))
+        code, out = run_quiet(
+            "check-function", source, "--dim", str(m), "--trials", "200", "--seed", str(seed), "--json"
+        )
+        assert code in (0, 1, 2, 3)
+        expr = parse(source)
+        assert_witness_iff_exit_1(code, out, lambda x: evaluate(expr, EvalContext.at_point(x)))

@@ -9,6 +9,7 @@ from rotinv.expr import (
     Call,
     DomainError,
     EvalContext,
+    Expression,
     ExpressionError,
     LexicalError,
     Literal,
@@ -94,6 +95,10 @@ MALFORMED = [
     ("1e", LexicalError, 2),
     ("", ParseError, 0),
     ("2 + )", ParseError, 4),
+    # Numbers are ASCII digits only, and a literal must fit in a double.
+    ("x1+²", LexicalError, 3),
+    ("٣*x1", LexicalError, 0),
+    ("1e999", LexicalError, 0),
 ]
 
 
@@ -108,6 +113,15 @@ class TestErrors:
         for source, _, _ in MALFORMED:
             with pytest.raises(ExpressionError):
                 parse(source)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.text())
+    def test_any_text_parses_or_raises_an_expression_error(self, source):
+        try:
+            result = parse(source)
+        except ExpressionError:
+            return
+        assert isinstance(result, Expression)
 
     def test_non_ascii_position_is_a_byte_offset(self):
         with pytest.raises(LexicalError) as info:

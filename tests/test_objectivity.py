@@ -491,14 +491,20 @@ class TestQuadraticObjectivity:
     @given(
         m=st.integers(min_value=1, max_value=5),
         entries=st.lists(st.integers(min_value=-8, max_value=8), min_size=25, max_size=25),
-        k=st.integers(min_value=-400, max_value=400),
+        k=st.integers(min_value=-1000, max_value=1000),
     )
     def test_power_of_two_scaling_keeps_the_verdict(self, m, entries, k):
-        # Scaling by 2^k is exact, so the verdicts must be equal, not just close.
+        # Scaling by 2^k is exact, so the verdicts must be equal, not just
+        # close, and a scaled witness must still separate and replay.
         h = np.array(entries[: m * m], dtype=float).reshape(m, m)
         base = quadratic_objectivity(QuadraticForm(SquareMatrix(h)))
-        scaled = quadratic_objectivity(QuadraticForm(SquareMatrix(np.ldexp(h, k))))
+        qf = QuadraticForm(SquareMatrix(np.ldexp(h, k)))
+        scaled = quadratic_objectivity(qf)
         assert scaled.verdict is base.verdict
+        if scaled.witness is not None:
+            w = scaled.witness
+            assert abs(w.f_x - w.f_qx) > scaled.tolerance
+            assert qf.value(w.x) == w.f_x and qf.value(w.q.apply(w.x)) == w.f_qx
 
     def test_shear_witness_spans_the_gap(self):
         # H_s = [[1,1],[1,1]] has eigenvalues 0 and 2.
