@@ -133,6 +133,9 @@ class Literal(Expression):
             # unparse/parse round trips structurally exact.
             raise ValueError("literals must be finite and nonnegative")
 
+    def _eval(self, ctx: EvalContext) -> float:
+        return self.value
+
 
 @dataclass(frozen=True, slots=True)
 class Variable(Expression):
@@ -145,6 +148,14 @@ class Variable(Expression):
         if self.index < 1:
             raise ValueError("variable indices are 1-based")
 
+    def _eval(self, ctx: EvalContext) -> float:
+        p = ctx.point
+        if p is None:
+            raise UnboundVariableError(f"x{self.index} is not bound in profile mode", self.pos)
+        if self.index > p.dim:
+            raise UnboundVariableError(f"x{self.index} is out of range for dimension {p.dim}", self.pos)
+        return float(p.data[self.index - 1])
+
 
 @dataclass(frozen=True, slots=True)
 class RadiusVar(Expression):
@@ -152,11 +163,19 @@ class RadiusVar(Expression):
 
     pos: int = field(default=0, compare=False)
 
+    def _eval(self, ctx: EvalContext) -> float:
+        if ctx.radius is None:
+            raise UnboundVariableError("t is only bound in profile mode", self.pos)
+        return ctx.radius
+
 
 @dataclass(frozen=True, slots=True)
 class Negate(Expression):
     operand: Expression
     pos: int = field(default=0, compare=False)
+
+    def _eval(self, ctx: EvalContext) -> float:
+        return -self.operand._eval(ctx)
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,6 +188,26 @@ class BinaryOp(Expression):
     def __post_init__(self):
         if self.op not in _BINDING_POWER:
             raise ValueError(f"unknown operator {self.op!r}")
+
+    def _eval(self, ctx: EvalContext) -> float:
+        left = self.left._eval(ctx)
+        right = self.right._eval(ctx)
+        if self.op == "+":
+            return _check_finite(left + right, self.pos)
+        if self.op == "-":
+            return _check_finite(left - right, self.pos)
+        if self.op == "*":
+            return _check_finite(left * right, self.pos)
+        if self.op == "/":
+            if right == 0.0:
+                raise DomainError("division by zero", self.pos)
+            return _check_finite(left / right, self.pos)
+        try:
+            return _check_finite(math.pow(left, right), self.pos)
+        except ValueError:
+            raise DomainError(f"{left!r} ^ {right!r} is undefined over the reals", self.pos) from None
+        except OverflowError:
+            raise NonFiniteResultError("power overflows", self.pos) from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,6 +228,20 @@ class Call(Expression):
                 raise ValueError(f"{self.name} takes only the whole-vector symbol x")
         else:
             raise ValueError(f"unknown function {self.name!r}")
+
+    def _eval(self, ctx: EvalContext) -> float:
+        if self.arg is None:
+            p = ctx.point
+            if p is None:
+                raise UnboundVariableError(f"{self.name}(x) is not available in profile mode", self.pos)
+            return p.norm() if self.name == "norm" else p.squared_norm()
+        value = self.arg._eval(ctx)
+        try:
+            return _check_finite(SCALAR_FUNCTIONS[self.name](value), self.pos)
+        except ValueError:
+            raise DomainError(f"{self.name}({value!r}) is undefined", self.pos) from None
+        except OverflowError:
+            raise NonFiniteResultError(f"{self.name}({value!r}) overflows", self.pos) from None
 
 
 # --- lexer -----------------------------------------------------------------
@@ -353,7 +406,9 @@ class EvalContext:
 
     @classmethod
     def at_point(cls, point: Vector) -> "EvalContext":
-        return cls(point=point)
+        self = object.__new__(cls)  # a Vector is neither None nor a radius: __init__'s checks hold
+        self.point, self.radius = point, None
+        return self
 
     @classmethod
     def at_radius(cls, radius: float) -> "EvalContext":
@@ -369,56 +424,9 @@ def _check_finite(value: float, pos: int) -> float:
 def evaluate(e: Expression, ctx: EvalContext) -> float:
     """Evaluate an AST at the context's binding. Deterministic: identical
     (expression, context) pairs give bitwise-identical results."""
-    if isinstance(e, Literal):
-        return e.value
-    if isinstance(e, Variable):
-        p = ctx.point
-        if p is None:
-            raise UnboundVariableError(f"x{e.index} is not bound in profile mode", e.pos)
-        if e.index > p.dim:
-            raise UnboundVariableError(f"x{e.index} is out of range for dimension {p.dim}", e.pos)
-        return float(p.data[e.index - 1])
-    if isinstance(e, RadiusVar):
-        if ctx.radius is None:
-            raise UnboundVariableError("t is only bound in profile mode", e.pos)
-        return ctx.radius
-    if isinstance(e, BinaryOp):
-        left = evaluate(e.left, ctx)
-        right = evaluate(e.right, ctx)
-        op = e.op
-        if op == "+":
-            return _check_finite(left + right, e.pos)
-        if op == "-":
-            return _check_finite(left - right, e.pos)
-        if op == "*":
-            return _check_finite(left * right, e.pos)
-        if op == "/":
-            if right == 0.0:
-                raise DomainError("division by zero", e.pos)
-            return _check_finite(left / right, e.pos)
-        try:
-            return _check_finite(math.pow(left, right), e.pos)
-        except ValueError:
-            raise DomainError(f"{left!r} ^ {right!r} is undefined over the reals", e.pos) from None
-        except OverflowError:
-            raise NonFiniteResultError("power overflows", e.pos) from None
-    if isinstance(e, Negate):
-        return -evaluate(e.operand, ctx)
-    if isinstance(e, Call):
-        if e.arg is None:
-            p = ctx.point
-            if p is None:
-                raise UnboundVariableError(f"{e.name}(x) is not available in profile mode", e.pos)
-            sq = float(p.data @ p.data)
-            return math.sqrt(sq) if e.name == "norm" else sq
-        value = evaluate(e.arg, ctx)
-        try:
-            return _check_finite(SCALAR_FUNCTIONS[e.name](value), e.pos)
-        except ValueError:
-            raise DomainError(f"{e.name}({value!r}) is undefined", e.pos) from None
-        except OverflowError:
-            raise NonFiniteResultError(f"{e.name}({value!r}) overflows", e.pos) from None
-    raise TypeError(f"not an expression node: {e!r}")
+    if not isinstance(e, Expression):
+        raise TypeError(f"not an expression node: {e!r}")
+    return e._eval(ctx)
 
 
 # --- unparse ---------------------------------------------------------------

@@ -49,7 +49,7 @@ class NotSymmetricError(ValueError):
 
 
 def _freeze(data: np.ndarray) -> np.ndarray:
-    data.flags.writeable = False
+    data.setflags(write=False)
     return data
 
 
@@ -59,7 +59,7 @@ class Vector:
     Entries must all be finite; NaN or infinity is rejected at construction.
     """
 
-    __slots__ = ("_data",)
+    __slots__ = ("_data", "_sq")
 
     def __init__(self, entries: Iterable[float] | np.ndarray):
         data = np.array(entries, dtype=float)
@@ -67,14 +67,14 @@ class Vector:
             raise ValueError(f"vector must be one-dimensional with length >= 1, got shape {data.shape}")
         if not np.all(np.isfinite(data)):
             raise ValueError("vector entries must be finite")
-        self._data = _freeze(data)
+        self._data, self._sq = _freeze(data), None
 
     @classmethod
     def _trusted(cls, data: np.ndarray) -> "Vector":
         # Fast path for freshly computed arrays that are finite by
         # construction (rotations and scalings of validated vectors).
         self = object.__new__(cls)
-        self._data = _freeze(data)
+        self._data, self._sq = _freeze(data), None
         return self
 
     @property
@@ -86,10 +86,15 @@ class Vector:
     def dim(self) -> int:
         return self._data.size
 
+    def squared_norm(self) -> float:
+        """x.x, computed once: the vector is immutable."""
+        if self._sq is None:
+            self._sq = float(self._data @ self._data)
+        return self._sq
+
     def norm(self) -> float:
-        """Euclidean norm: sqrt(x.x), as np.linalg.norm computes it for a
-        vector, without its dispatch overhead."""
-        return math.sqrt(self._data @ self._data)
+        """Euclidean norm sqrt(x.x), without np.linalg.norm's dispatch overhead."""
+        return math.sqrt(self.squared_norm())
 
     def tolist(self) -> list[float]:
         return self._data.tolist()

@@ -272,15 +272,18 @@ def _cumulative_weights(a: RadialSet) -> list[float]:
     # like the mean interval length (or 1 when there are no intervals).
     lengths = [hi - lo for lo, hi in a.intervals]
     atom = (sum(lengths) / len(lengths)) if lengths else 1.0
-    return list(itertools.accumulate(lengths + [atom] * len(a.points)))
+    cumulative = list(itertools.accumulate(lengths + [atom] * len(a.points)))
+    if not math.isfinite(cumulative[-1]):  # rng.uniform's per-draw check, made once
+        raise OverflowError("total radius weight exceeds the double range")
+    return cumulative
 
 
 def _draw_radius(a: RadialSet, cumulative: list[float], rng: np.random.Generator) -> float:
-    pick = rng.uniform(0.0, cumulative[-1])
+    pick = cumulative[-1] * rng.random()
     index = min(bisect.bisect_left(cumulative, pick), len(cumulative) - 1)
     if index < len(a.intervals):
         lo, hi = a.intervals[index]
-        return float(rng.uniform(lo, hi))
+        return lo + (hi - lo) * rng.random()
     return a.points[index - len(a.intervals)]
 
 
@@ -576,7 +579,11 @@ test_function_objectivity.__test__ = False  # type: ignore[attr-defined]
 def symmetric_part(h: SquareMatrix) -> SquareMatrix:
     """(h + h^T) / 2, exactly symmetric since mirror entries are averaged."""
     d = h.data
-    return SquareMatrix(0.5 * (d + d.T))
+    with np.errstate(over="ignore"):
+        s = 0.5 * (d + d.T)
+    if np.isinf(s).any():  # halving first is exact only where the sum overflows; it rounds subnormals
+        s = np.where(np.isinf(s), 0.5 * d + 0.5 * d.T, s)
+    return SquareMatrix._trusted(s)
 
 
 def quadratic_objectivity(
@@ -601,17 +608,22 @@ def quadratic_objectivity(
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
     hs = symmetric_part(qf.h)
-    m = qf.order
-    alpha = float(np.trace(hs.data)) / m
-    eff_tol = tol * float(np.max(np.abs(hs.data)))
-    residual = float(np.max(np.abs(hs.data - alpha * np.eye(m))))
-    if residual <= eff_tol:
+    eff_tol = tol * (top := float(abs(hs.data).max()))
+    # If the trace or a deviation overflows, refit exactly on a copy scaled into [0.5, 1).
+    for k in (0, math.frexp(top)[1]):
+        d = np.ldexp(hs.data, -k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            alpha = float(d.trace()) / len(d)
+            residual = float(abs(d - alpha * np.eye(len(d))).max())
+        if math.isfinite(residual):
+            break
+    if residual <= math.ldexp(eff_tol, -k):
         return ObjectivityReport(
             verdict=Verdict.OBJECTIVE,
             method=Method.EXACT_QUADRATIC,
             trials=0,
             tolerance=eff_tol,
-            alpha=alpha,
+            alpha=math.ldexp(alpha, k),
         )
     lam_min, u_min, lam_max, u_max = symmetric_eigen_extremes(hs)
     q = rotation_mapping(u_min, u_max)

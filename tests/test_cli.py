@@ -153,7 +153,9 @@ class TestCheckQuadratic:
         code, _, err = run(capsys, "check-quadratic", "/no/such/file")
         assert code == 2 and "cannot read" in err
 
-    @pytest.mark.parametrize("rows", ["1e200 1e200\n1e200 1e200", "0 1e-300\n1e-300 0"])
+    @pytest.mark.parametrize("rows", [
+        "1e200 1e200\n1e200 1e200", "0 1e-300\n1e-300 0", "1.7e308 0\n0 1", "1e308 0\n0 -1e308",
+    ])
     def test_extreme_scale_witness_replays(self, capsys, tmp_path, rows):
         path = tmp_path / "h.txt"
         path.write_text(f"2\n{rows}\n")
@@ -163,6 +165,13 @@ class TestCheckQuadratic:
         w = report.witness
         qf = QuadraticForm(parse_matrix_file(path.read_text()))
         assert qf.value(w.x) == w.f_x and qf.value(w.q.apply(w.x)) == w.f_qx
+
+    def test_isotropic_at_the_double_maximum(self, capsys, tmp_path):
+        path = tmp_path / "h.txt"
+        path.write_text("2\n1.7e308 0\n0 1.7e308\n")
+        code, out, err = run(capsys, "check-quadratic", str(path), "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["alpha"] == 1.7e308
 
     def test_json_document_round_trips(self, capsys, diag12):
         _, out, _ = run(capsys, "check-quadratic", diag12, "--json")

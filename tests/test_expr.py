@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -280,6 +282,17 @@ _expressions = st.recursive(
     ),
     max_leaves=25,
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=8))
+def test_norm_and_dot_are_the_vector_norms(entries):
+    d = np.array(entries)
+    v = Vector(entries)
+    ctx = EvalContext.at_point(v)
+    sq = float(d @ d)
+    assert float.hex(evaluate(parse("dot(x,x)"), ctx)) == float.hex(sq) == float.hex(v.squared_norm())
+    assert float.hex(evaluate(parse("norm(x)"), ctx)) == float.hex(math.sqrt(sq)) == float.hex(v.norm())
 
 
 @settings(max_examples=300, deadline=None)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotinv.linalg import (
     DependentPrefixError,
@@ -46,6 +48,17 @@ class TestConstruction:
     def test_equality(self):
         assert Vector([1, 2]) == Vector([1.0, 2.0])
         assert SquareMatrix([[1, 0], [0, 1]]) == SquareMatrix(np.eye(2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=8), trusted=st.booleans())
+def test_norms_are_the_dot_product_bit_for_bit(entries, trusted):
+    d = np.array(entries, dtype=float)
+    v = Vector._trusted(d.copy()) if trusted else Vector(entries)
+    sq = float(d @ d)
+    for _ in range(2):
+        assert float.hex(v.squared_norm()) == float.hex(sq)
+        assert float.hex(v.norm()) == float.hex(math.sqrt(sq))
 
 
 class TestDeterminant:

@@ -1,8 +1,10 @@
+import bisect
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rotinv import objectivity
@@ -133,6 +135,45 @@ class TestSampling:
             t = sample_radius(a, reference)
             expected = t * objectivity._random_unit(3, reference)
             assert np.array_equal(sampler(rng).data, expected)
+
+    @staticmethod
+    def _uniform_reference(a, rng):
+        # sample_radius as written with Generator.uniform.
+        lengths = [hi - lo for lo, hi in a.intervals]
+        atom = (sum(lengths) / len(lengths)) if lengths else 1.0
+        cumulative = list(itertools.accumulate(lengths + [atom] * len(a.points)))
+        pick = rng.uniform(0.0, cumulative[-1])
+        index = min(bisect.bisect_left(cumulative, pick), len(cumulative) - 1)
+        if index < len(a.intervals):
+            return float(rng.uniform(*a.intervals[index]))
+        return a.points[index - len(a.intervals)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bounds=st.lists(
+            st.tuples(st.floats(0.0, 1e300), st.floats(0.0, 1e300)).map(sorted), max_size=4
+        ),
+        points=st.lists(st.floats(0.0, 1e300), max_size=3),
+        seed=st.integers(0, 2**32),
+    )
+    def test_draws_and_generator_state_match_uniform(self, bounds, points, seed):
+        assume(bounds or points)
+        a = RadialSet(3, intervals=tuple(bounds), points=tuple(points))
+        sampler = radial_sampler(a)
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            t, expected = sample_radius(a, rng), self._uniform_reference(a, reference)
+            assert float.hex(t) == float.hex(expected)
+            assert rng.bit_generator.state == reference.bit_generator.state
+            x = sampler(rng).data
+            expected = self._uniform_reference(a, reference) * objectivity._random_unit(3, reference)
+            assert x.tobytes() == expected.tobytes()
+            assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_total_weight_beyond_the_double_range_is_rejected(self):
+        a = RadialSet(2, intervals=((0.0, 1.5e308),), points=(1.6e308,))
+        with pytest.raises(OverflowError):
+            sample_radius(a, np.random.default_rng(0))
 
     def test_sampler_points_belong(self):
         rng = np.random.default_rng(42)
@@ -444,6 +485,16 @@ class TestSymmetricPart:
             hs = symmetric_part(SquareMatrix(rng.standard_normal((m, m))))
             assert np.array_equal(hs.data, hs.data.T)
 
+    def test_mirror_sum_beyond_the_double_maximum(self):
+        # 1.7e308 + 1.5e308 overflows; the average 1.6e308 does not.
+        hs = symmetric_part(SquareMatrix([[1.7e308, 1.7e308], [1.5e308, -1.7e308]]))
+        assert hs == SquareMatrix([[1.7e308, 1.6e308], [1.6e308, -1.7e308]])
+
+    def test_subnormal_mirror_entries_are_kept(self):
+        # Halving first would round 5e-324 / 2 to zero on both sides.
+        h = SquareMatrix([[0.0, 5e-324], [5e-324, 0.0]])
+        assert symmetric_part(h) == h
+
     def test_quadratic_values_agree(self):
         # x^T H x only sees the symmetric part.
         rng = np.random.default_rng(81)
@@ -525,6 +576,20 @@ class TestQuadraticObjectivity:
     def test_tolerance_scales_with_magnitude(self):
         report = quadratic_objectivity(QuadraticForm(SquareMatrix(1e6 * np.eye(2) + 1e-6 * np.diag([1.0, -1.0]))))
         assert report.verdict is Verdict.OBJECTIVE  # residual 1e-6 under 1e-10 * 1e6
+
+    def test_trace_beyond_the_double_maximum(self):
+        # The trace 3 * 8e307 overflows; alpha is refitted on a scaled copy.
+        report = quadratic_objectivity(QuadraticForm(SquareMatrix(8e307 * np.eye(3))))
+        assert report.verdict is Verdict.OBJECTIVE
+        assert report.alpha == 8e307 and report.tolerance == 1e-10 * 8e307
+
+    def test_deviation_beyond_the_double_maximum(self):
+        # alpha = -1.7e308 / 3, so 1.7e308 - alpha overflows.
+        qf = QuadraticForm(SquareMatrix(np.diag([1.7e308, -1.7e308, -1.7e308])))
+        report = quadratic_objectivity(qf)
+        assert report.verdict is Verdict.NOT_OBJECTIVE
+        w = report.witness
+        assert qf.value(w.x) == w.f_x and qf.value(w.q.apply(w.x)) == w.f_qx
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
