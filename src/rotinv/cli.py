@@ -426,7 +426,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         # usage errors' 2 into the return-code contract.
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # stderr carries only error: lines
+            return args.func(args)
     except Exception as exc:
         # Last resort for the exit-code contract: exit 1 means "not
         # objective", so no failure may surface as a traceback.

@@ -234,7 +234,7 @@ class Call(Expression):
             p = ctx.point
             if p is None:
                 raise UnboundVariableError(f"{self.name}(x) is not available in profile mode", self.pos)
-            return p.norm() if self.name == "norm" else p.squared_norm()
+            return _check_finite(p.norm() if self.name == "norm" else p.squared_norm(), self.pos)
         value = self.arg._eval(ctx)
         try:
             return _check_finite(SCALAR_FUNCTIONS[self.name](value), self.pos)

@@ -93,8 +93,13 @@ class Vector:
         return self._sq
 
     def norm(self) -> float:
-        """Euclidean norm sqrt(x.x), without np.linalg.norm's dispatch overhead."""
-        return math.sqrt(self.squared_norm())
+        """Euclidean norm sqrt(x.x), without np.linalg.norm's dispatch overhead;
+        where x.x overflows, it is taken on a copy scaled by 2^-600."""
+        sq = self.squared_norm()
+        if sq == math.inf:  # some entry exceeds 2^500, so no entry that matters underflows
+            y = self._data * 2.0**-600
+            return math.sqrt(y @ y) * 2.0**600
+        return math.sqrt(sq)
 
     def tolist(self) -> list[float]:
         return self._data.tolist()

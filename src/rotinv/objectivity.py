@@ -22,19 +22,14 @@ from enum import Enum
 import numpy as np
 
 from .expr import EvalContext, Expression, evaluate, references_point
-from .linalg import (
-    DimensionMismatchError,
-    SquareMatrix,
-    Vector,
-    gram_schmidt_complete,
-    symmetric_eigen_extremes,
-)
+from .linalg import DimensionMismatchError, SquareMatrix, Vector, symmetric_eigen_extremes
 # haar_sample is not called here; the benchmark's tracer
 # (perfbench/layers.py) wraps it under this module's name.
 from .rotation import (  # noqa: F401
     UNIT_TOL,
     NonUnitVectorError,
     RotationMatrix,
+    _orthogonal_axis,
     haar_sample,
     haar_stack,
     rotation_mapping,
@@ -405,18 +400,16 @@ def finite_set_objectivity(points: Sequence[Vector], m: int) -> ObjectivityRepor
     p = max(nonzero, key=lambda v: v.norm())
     r = p.norm()
     u = p.data / r
-    basis = gram_schmidt_complete([Vector(u)], m)
-    g2 = basis[1].data
-    # Distinct directions in the (u, g2) plane; the set is finite, so by
-    # pigeonhole one of len(points) + 1 candidates misses it.
+    w = _orthogonal_axis(u)
+    w /= math.sqrt(w @ w)
+    # Distinct directions in the (u, w) plane; the set is finite, so by
+    # pigeonhole one of len(points) + 1 candidates carries p off it.
     separation = 1e-9 * max(1.0, r)
     for k in range(1, len(points) + 2):
         theta = k * math.pi / (len(points) + 2)
-        v = math.cos(theta) * u + math.sin(theta) * g2
-        v = v / np.linalg.norm(v)
-        target = r * v
-        if all(np.linalg.norm(target - q.data) > separation for q in points):
-            rot = rotation_mapping(Vector(u), Vector(v))
+        rot = rotation_mapping(Vector(u), Vector(math.cos(theta) * u + math.sin(theta) * w))
+        moved = rot.apply(p).data
+        if all(np.linalg.norm(moved - q.data) > separation for q in points):
             witness = Witness(x=p, q=rot, f_x=1.0, f_qx=0.0)
             return ObjectivityReport(
                 verdict=Verdict.NOT_OBJECTIVE,
@@ -609,8 +602,9 @@ def quadratic_objectivity(
         raise ValueError("tol must be > 0")
     hs = symmetric_part(qf.h)
     eff_tol = tol * (top := float(abs(hs.data).max()))
+    scale = math.frexp(top)[1]
     # If the trace or a deviation overflows, refit exactly on a copy scaled into [0.5, 1).
-    for k in (0, math.frexp(top)[1]):
+    for k in (0, scale):
         d = np.ldexp(hs.data, -k)
         with np.errstate(over="ignore", invalid="ignore"):
             alpha = float(d.trace()) / len(d)
@@ -625,16 +619,22 @@ def quadratic_objectivity(
             tolerance=eff_tol,
             alpha=math.ldexp(alpha, k),
         )
-    lam_min, u_min, lam_max, u_max = symmetric_eigen_extremes(hs)
+    # The solver scales the same way; unscaled, the eigenvalues may overflow.
+    _, u_min, _, u_max = symmetric_eigen_extremes(SquareMatrix._trusted(np.ldexp(hs.data, -scale)))
     q = rotation_mapping(u_min, u_max)
-    f_x = qf.value(u_min)
-    f_qx = qf.value(q.apply(u_min))
+    # x = 2^-j u_min, j >= 0 least with f(x), f(qx) finite: they differ by the gap times 4^-j.
+    for j in itertools.count():
+        x = Vector._trusted(np.ldexp(u_min.data, -j))
+        with np.errstate(over="ignore", invalid="ignore"):
+            f_x, f_qx = qf.value(x), qf.value(q.apply(x))
+        if math.isfinite(f_x) and math.isfinite(f_qx):
+            break
     return ObjectivityReport(
         verdict=Verdict.NOT_OBJECTIVE,
         method=Method.EXACT_QUADRATIC,
         trials=0,
         tolerance=eff_tol,
-        witness=Witness(x=u_min, q=q, f_x=f_x, f_qx=f_qx),
+        witness=Witness(x=x, q=q, f_x=f_x, f_qx=f_qx),
     )
 
 

@@ -158,12 +158,14 @@ def rotation_2d(theta: float) -> RotationMatrix:
     return RotationMatrix._trusted(SquareMatrix([[c, -s], [s, c]]))
 
 
-def _first_canonical_not_parallel(u: np.ndarray) -> np.ndarray:
-    # For unit u, e_j is parallel to u only when u = +/- e_j.
+def _orthogonal_axis(u: np.ndarray) -> np.ndarray:
+    # e_j - (u.e_j)u, unnormalized, for the first e_j not parallel to the
+    # unit vector u (e_j is parallel to u only when u = +/- e_j).
     for j in range(u.size):
         if abs(u[j]) < 1.0 - 1e-8:
             e = np.zeros(u.size)
             e[j] = 1.0
+            e -= (u @ e) * u
             return e
     raise AssertionError("unreachable: a unit vector is parallel to at most one canonical axis")
 
@@ -171,17 +173,16 @@ def _first_canonical_not_parallel(u: np.ndarray) -> np.ndarray:
 def rotation_mapping(u: Vector, v: Vector) -> RotationMatrix:
     """Construct a proper rotation Q with Qu = v for unit vectors u, v.
 
-    For m = 2 this is the plane rotation through the angle between u and
-    v (extracted with atan2, which stays stable near +/- pi). For m >= 3
-    it is the rotation in the plane spanned by u and a unit w orthogonal
-    to it, fixing the orthogonal complement, in closed form:
+    For m >= 2 it is the rotation in the plane spanned by u and a unit w
+    orthogonal to it, fixing the orthogonal complement, in closed form:
 
         Q = I + (c - 1)(u u^T + w w^T) + s(w u^T - u w^T),
 
     with (c, s) the coordinates of v in the (u, w) plane. w is the
     normalized residual of v against u. When u and v are colinear the
     plane is under-determined and w comes from the first canonical basis
-    vector not parallel to u, so the output is deterministic.
+    vector not parallel to u, so the output is deterministic, and
+    +/- e_i onto +/- e_j gives entries exactly in {-1, 0, 1}.
 
     For m = 1 the only proper rotation is [1], so u = -v is impossible
     and raises NoProperRotationError.
@@ -201,14 +202,10 @@ def rotation_mapping(u: Vector, v: Vector) -> RotationMatrix:
                 "and [1] cannot map u to -u"
             )
         return RotationMatrix._trusted(SquareMatrix([[1.0]]))
-    if m == 2:
-        theta = math.atan2(vd[1], vd[0]) - math.atan2(ud[1], ud[0])
-        return rotation_2d(theta)
     c = float(ud @ vd)
     w = vd - c * ud
     if math.sqrt(w @ w) < 1e-13:
-        w = _first_canonical_not_parallel(ud)
-        w -= (ud @ w) * ud
+        w = _orthogonal_axis(ud)
     # A second projection restores the orthogonality to u that
     # cancellation costs a short residual.
     w -= (ud @ w) * ud
@@ -241,13 +238,11 @@ def haar_stack(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
     of an orthogonal factor is multiplied by the sign of the corresponding
     diagonal entry of its triangular factor (making the distribution Haar
     over O(m)); a determinant of -1 is folded into SO(m) by negating the
-    last column. Reproducible: the same generator state yields a
-    bitwise-identical stack.
+    last column, which for m = 1 leaves exactly [[1.0]]. Reproducible:
+    the same generator state yields a bitwise-identical stack.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m == 1:
-        return np.ones((count, 1, 1))
     return _sign_fixed(rng.standard_normal((count, m, m)))
 
 

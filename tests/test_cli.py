@@ -75,11 +75,14 @@ class TestMatrixFileFormat:
 
 class TestMakeRotation:
     def test_e1_to_e2(self, capsys):
-        code, out, _ = run(capsys, "make-rotation", "1 0", "0 1")
-        assert code == 0
-        q = parse_matrix_file(out)
-        assert np.max(np.abs(q.data - [[0.0, -1.0], [1.0, 0.0]])) <= 1e-10
-        validate_rotation(q)
+        code, out, err = run(capsys, "make-rotation", "1 0", "0 1")
+        assert (code, out, err) == (0, "2\n0.0 -1.0\n1.0 0.0\n", "")
+        validate_rotation(parse_matrix_file(out))
+
+    def test_overflowing_norm_is_one_error_line(self, capsys):
+        code, out, err = run(capsys, "make-rotation", "1e200 0", "1 0")
+        assert (code, out) == (2, "")
+        assert err == "error: u must be within 1e-06 of unit norm, got norm 1e+200\n"
 
     def test_identity_in_one_dimension(self, capsys):
         code, out, _ = run(capsys, "make-rotation", "1", "1")
@@ -155,6 +158,8 @@ class TestCheckQuadratic:
 
     @pytest.mark.parametrize("rows", [
         "1e200 1e200\n1e200 1e200", "0 1e-300\n1e-300 0", "1.7e308 0\n0 1", "1e308 0\n0 -1e308",
+        # The eigenvalue 2e308 overflows, so the witness is u_min / 2.
+        "1e308 1e308\n1e308 1e308",
     ])
     def test_extreme_scale_witness_replays(self, capsys, tmp_path, rows):
         path = tmp_path / "h.txt"
@@ -172,6 +177,13 @@ class TestCheckQuadratic:
         code, out, err = run(capsys, "check-quadratic", str(path), "--json")
         assert (code, err) == (0, "")
         assert json.loads(out)["alpha"] == 1.7e308
+
+    def test_readme_json_example_holds(self, capsys, diag12):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        code, out, _ = run(capsys, "check-quadratic", diag12, "--json")
+        assert code == 1
+        assert out == json.dumps(json.loads(example)) + "\n"
 
     def test_json_document_round_trips(self, capsys, diag12):
         _, out, _ = run(capsys, "check-quadratic", diag12, "--json")
@@ -238,6 +250,15 @@ class TestCheckFunction:
         code, _, err = run(capsys, "check-function", "norm(x)", "--dim", "2", f"{flag}={value}")
         assert code == 2 and err.startswith("error:") and "finite" in err
 
+    def test_radii_where_x_dot_x_overflows(self, capsys):
+        code, out, err = run(capsys, "check-function", "x1", "--dim", "2",
+                             "--radius-min", "1e200", "--radius-max", "1e201", "--json")
+        assert (code, err) == (1, "")
+        w = report_from_document(json.loads(out))[0].witness
+        f = parse("x1")
+        assert evaluate(f, EvalContext.at_point(w.x)) == w.f_x
+        assert evaluate(f, EvalContext.at_point(w.q.apply(w.x))) == w.f_qx
+
     def test_seed_is_echoed_and_reproduces(self, capsys):
         args = ("check-function", "x1", "--dim", "2", "--seed", "42", "--json")
         _, out, _ = run(capsys, *args)
@@ -249,6 +270,10 @@ class TestProfile:
         code, out, _ = run(capsys, "profile", "norm(x)^2", "--dim", "5", "--radii", "0,1,2")
         assert code == 0
         assert out == (GOLDEN / "profile_norm_sq.csv").read_text()
+
+    def test_norm_beyond_the_square_root_of_the_double_maximum(self, capsys):
+        code, out, err = run(capsys, "profile", "norm(x)", "--dim", "2", "--radii", "1e200")
+        assert (code, out, err) == (0, "t,phi\n1e+200,1e+200\n", "")
 
     def test_log_at_zero_names_the_radius(self, capsys):
         code, _, err = run(capsys, "profile", "log(norm(x))", "--dim", "2", "--radii", "0,1")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rotinv import objectivity
@@ -274,6 +274,26 @@ class TestFiniteSets:
         moved = report.witness.q.apply(report.witness.x)
         assert all(np.linalg.norm(moved.data - p.data) > 1e-9 for p in points)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(min_value=2, max_value=5),
+        directions=st.lists(
+            st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5), min_size=1, max_size=12
+        ),
+        exponents=st.lists(st.floats(-6.0, 6.0), min_size=12, max_size=12),
+    )
+    def test_witness_carries_a_point_off_the_set(self, m, directions, exponents):
+        rows = [np.array(d[:m]) for d in directions]
+        assume(all(np.linalg.norm(d) > 1e-3 for d in rows))
+        points = [Vector(10.0**e * d / np.linalg.norm(d)) for d, e in zip(rows, exponents)]
+        report = finite_set_objectivity(points, m)
+        assert report.verdict is Verdict.NOT_OBJECTIVE
+        w = report.witness
+        validate_rotation(w.q.matrix)
+        separation = 1e-9 * max(1.0, w.x.norm())
+        moved = w.q.apply(w.x).data
+        assert all(np.linalg.norm(moved - p.data) > separation for p in points)
+
     def test_dimension_mismatch_inside_list(self):
         with pytest.raises(DimensionMismatchError):
             finite_set_objectivity([Vector([1.0, 0.0]), Vector([1.0])], 2)
@@ -542,8 +562,10 @@ class TestQuadraticObjectivity:
     @given(
         m=st.integers(min_value=1, max_value=5),
         entries=st.lists(st.integers(min_value=-8, max_value=8), min_size=25, max_size=25),
-        k=st.integers(min_value=-1000, max_value=1000),
+        k=st.integers(min_value=-1000, max_value=1020),
     )
+    # 8 * 2^1020 is 2^1023: the eigenvalue 5 * 2^1023 overflows.
+    @example(m=5, entries=[8] * 25, k=1020)
     def test_power_of_two_scaling_keeps_the_verdict(self, m, entries, k):
         # Scaling by 2^k is exact, so the verdicts must be equal, not just
         # close, and a scaled witness must still separate and replay.

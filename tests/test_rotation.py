@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -135,6 +136,15 @@ class TestRotationMapping:
             assert np.max(np.abs(q.data @ u - v)) <= 1e-10
             validate_rotation(q.matrix)
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_canonical_pairs_are_exact(self, m):
+        # From +/- e_i onto +/- e_j, c and s are 0 or +/-1, so no entry rounds.
+        eye = np.eye(m)
+        for i, j in itertools.product(range(m), repeat=2):
+            for a, b in itertools.product((1.0, -1.0), repeat=2):
+                q = rotation_mapping(Vector(a * eye[i]), Vector(b * eye[j]))
+                assert set(q.data.flat) <= {-1.0, 0.0, 1.0}
+
     def test_rejects_non_unit(self):
         with pytest.raises(NonUnitVectorError):
             rotation_mapping(Vector([2.0, 0.0]), Vector([0.0, 1.0]))
@@ -190,6 +200,14 @@ class TestHaarSample:
             for q in stack:
                 validate_rotation(SquareMatrix(q))
         assert np.array_equal(haar_stack(1, 3, rng), np.ones((3, 1, 1)))
+
+    def test_one_dim_stack_takes_the_general_path(self):
+        # Every draw gives exactly +1.0, and each consumes one normal.
+        rng, reference = np.random.default_rng(37), np.random.default_rng(37)
+        stack = haar_stack(1, 10_000, rng)
+        assert np.array_equal(stack, np.ones((10_000, 1, 1))) and not np.signbit(stack).any()
+        reference.standard_normal((10_000, 1, 1))
+        assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_stack_first_columns_are_centered(self):
         # As for haar_sample: the image of e1 is uniform on the sphere.
