@@ -75,6 +75,12 @@ EXIT_NOT_OBJECTIVE = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
+_VERDICT_EXIT = {
+    Verdict.OBJECTIVE: EXIT_OK,
+    Verdict.NOT_OBJECTIVE: EXIT_NOT_OBJECTIVE,
+    Verdict.INCONCLUSIVE: EXIT_INCONCLUSIVE,
+}
+
 # Largest --dim accepted: sample-rotation allocates m^2 doubles, so an
 # unbounded value could exhaust memory instead of exiting 2.
 MAX_DIM = 1000
@@ -195,12 +201,16 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
-def _write_text(text: str, out: str | None) -> None:
-    if out:
+def _write_text(text: str, out: str | None) -> int:
+    if not out:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
         with open(out, "w", newline="\n") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        return _fail(f"cannot write {out}: {exc}")
+    return EXIT_OK
 
 
 def _parse_unit_vector(text: str, label: str) -> Vector:
@@ -232,8 +242,7 @@ def _cmd_make_rotation(args: argparse.Namespace) -> int:
         # determinant-1 constraint leaves only the identity.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_OBJECTIVE
-    _write_text(format_matrix_file(q.matrix), args.out)
-    return EXIT_OK
+    return _write_text(format_matrix_file(q.matrix), args.out)
 
 
 def _cmd_check_quadratic(args: argparse.Namespace) -> int:
@@ -248,7 +257,7 @@ def _cmd_check_quadratic(args: argparse.Namespace) -> int:
         return _fail("--tol must be > 0")
     report = quadratic_objectivity(QuadraticForm(h), tol=args.tol)
     _emit_report(report, None, args.json)
-    return EXIT_OK if report.verdict is Verdict.OBJECTIVE else EXIT_NOT_OBJECTIVE
+    return _VERDICT_EXIT[report.verdict]
 
 
 def _compile_point_function(source: str, m: int):
@@ -295,11 +304,7 @@ def _cmd_check_function(args: argparse.Namespace) -> int:
     except (EvaluationError, NonFiniteValueError) as exc:
         return _fail(f"function evaluation failed: {exc}")
     _emit_report(report, args.seed, args.json)
-    if report.verdict is Verdict.OBJECTIVE:
-        return EXIT_OK
-    if report.verdict is Verdict.NOT_OBJECTIVE:
-        return EXIT_NOT_OBJECTIVE
-    return EXIT_INCONCLUSIVE
+    return _VERDICT_EXIT[report.verdict]
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -328,8 +333,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     assert profile.samples is not None
     lines = ["t,phi"] + [f"{_fmt(t)},{_fmt(val)}" for t, val in profile.samples]
-    _write_text("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return _write_text("\n".join(lines) + "\n", args.out)
 
 
 def _cmd_sample_rotation(args: argparse.Namespace) -> int:
@@ -342,12 +346,9 @@ def _cmd_sample_rotation(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     for i in range(args.count):
         q = haar_sample(args.dim, rng)
-        path = f"{args.out}{i:03d}.txt"
-        try:
-            with open(path, "w", newline="\n") as fh:
-                fh.write(format_matrix_file(q.matrix))
-        except OSError as exc:
-            return _fail(f"cannot write {path}: {exc}")
+        code = _write_text(format_matrix_file(q.matrix), f"{args.out}{i:03d}.txt")
+        if code != EXIT_OK:
+            return code
     print(f"wrote {args.count} rotation(s) of order {args.dim} with seed {args.seed}", file=sys.stderr)
     return EXIT_OK
 

@@ -89,7 +89,8 @@ class Vector:
     def squared_norm(self) -> float:
         """x.x, computed once: the vector is immutable."""
         if self._sq is None:
-            self._sq = float(self._data @ self._data)
+            # vdot, unlike the matmul ufunc, raises no warning where x.x overflows.
+            self._sq = float(np.vdot(self._data, self._data))
         return self._sq
 
     def norm(self) -> float:

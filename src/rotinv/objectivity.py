@@ -594,24 +594,21 @@ def quadratic_objectivity(
     changes the value by the whole spectral gap.
 
     The tolerance is tol * max|H_s| with no absolute floor, so the
-    verdict does not depend on the scale of H (exactly so under
-    power-of-two scaling) and the zero form is objective. In dimension
-    one alpha is h_00 and the residual is zero, so m = 1 always passes.
+    verdict does not depend on the scale of H and the zero form is
+    objective. The fit, the residual check and the eigensolver share one
+    copy of H_s scaled by a power of two so that its largest entry lies
+    in [0.5, 1): nothing computed on it overflows, and H and 2^j H are
+    decided on the same array. In dimension one alpha is h_00 and the
+    residual is zero, so m = 1 always passes.
     """
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
     hs = symmetric_part(qf.h)
     eff_tol = tol * (top := float(abs(hs.data).max()))
-    scale = math.frexp(top)[1]
-    # If the trace or a deviation overflows, refit exactly on a copy scaled into [0.5, 1).
-    for k in (0, scale):
-        d = np.ldexp(hs.data, -k)
-        with np.errstate(over="ignore", invalid="ignore"):
-            alpha = float(d.trace()) / len(d)
-            residual = float(abs(d - alpha * np.eye(len(d))).max())
-        if math.isfinite(residual):
-            break
-    if residual <= math.ldexp(eff_tol, -k):
+    k = math.frexp(top)[1]
+    d = np.ldexp(hs.data, -k)
+    alpha = float(d.trace()) / len(d)
+    if float(abs(d - alpha * np.eye(len(d))).max()) <= math.ldexp(eff_tol, -k):
         return ObjectivityReport(
             verdict=Verdict.OBJECTIVE,
             method=Method.EXACT_QUADRATIC,
@@ -619,8 +616,7 @@ def quadratic_objectivity(
             tolerance=eff_tol,
             alpha=math.ldexp(alpha, k),
         )
-    # The solver scales the same way; unscaled, the eigenvalues may overflow.
-    _, u_min, _, u_max = symmetric_eigen_extremes(SquareMatrix._trusted(np.ldexp(hs.data, -scale)))
+    _, u_min, _, u_max = symmetric_eigen_extremes(SquareMatrix._trusted(d))
     q = rotation_mapping(u_min, u_max)
     # x = 2^-j u_min, j >= 0 least with f(x), f(qx) finite: they differ by the gap times 4^-j.
     for j in itertools.count():

@@ -181,8 +181,9 @@ def rotation_mapping(u: Vector, v: Vector) -> RotationMatrix:
     with (c, s) the coordinates of v in the (u, w) plane. w is the
     normalized residual of v against u. When u and v are colinear the
     plane is under-determined and w comes from the first canonical basis
-    vector not parallel to u, so the output is deterministic, and
-    +/- e_i onto +/- e_j gives entries exactly in {-1, 0, 1}.
+    vector not parallel to u, so the output is deterministic; the angle
+    is then exactly 0 or pi, so u onto u gives exactly I. +/- e_i onto
+    +/- e_j gives entries exactly in {-1, 0, 1}.
 
     For m = 1 the only proper rotation is [1], so u = -v is impossible
     and raises NoProperRotationError.
@@ -204,13 +205,15 @@ def rotation_mapping(u: Vector, v: Vector) -> RotationMatrix:
         return RotationMatrix._trusted(SquareMatrix([[1.0]]))
     c = float(ud @ vd)
     w = vd - c * ud
-    if math.sqrt(w @ w) < 1e-13:
+    colinear = math.sqrt(w @ w) < 1e-13
+    if colinear:
         w = _orthogonal_axis(ud)
     # A second projection restores the orthogonality to u that
     # cancellation costs a short residual.
     w -= (ud @ w) * ud
     w /= math.sqrt(w @ w)
-    s = float(vd @ w)
+    # Colinear, v = +/- u: the plane angle is exactly 0 or pi.
+    c, s = (math.copysign(1.0, c), 0.0) if colinear else (c, float(vd @ w))
     # With P = [u w], the formula is I + P^T [[c-1, -s], [s, c-1]] P.
     p = np.array([ud, w])
     q = p.T @ (np.array([[c - 1.0, -s], [s, c - 1.0]]) @ p)

@@ -118,6 +118,12 @@ class TestMakeRotation:
         assert code == 0 and out == ""
         validate_rotation(parse_matrix_file(target.read_text()))
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "q.txt"
+        code, out, err = run(capsys, "make-rotation", "0 1", "1 0", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
 
 class TestCheckQuadratic:
     def test_identity_golden(self, capsys, identity3):
@@ -291,6 +297,12 @@ class TestProfile:
         assert code == 0 and out == ""
         assert target.read_text() == "t,phi\n2.0,4.0\n"
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "p.csv"
+        code, out, err = run(capsys, "profile", "dot(x,x)", "--dim", "2", "--radii", "2", "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
     def test_bad_radii(self, capsys):
         assert run(capsys, "profile", "x1", "--dim", "2", "--radii", "a,b")[0] == 2
         assert run(capsys, "profile", "x1", "--dim", "2", "--radii", "-1")[0] == 2
@@ -343,6 +355,12 @@ class TestSampleRotation:
     def test_bad_count(self, capsys, tmp_path):
         code, _, _ = run(capsys, "sample-rotation", "--dim", "2", "--count", "0", "--out", str(tmp_path / "x"))
         assert code == 2
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        prefix = tmp_path / "missing" / "r"
+        code, out, err = run(capsys, "sample-rotation", "--dim", "2", "--out", str(prefix))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {prefix}000.txt: ") and err.count("\n") == 1
 
 
 class TestContract:

@@ -578,6 +578,18 @@ class TestQuadraticObjectivity:
             w = scaled.witness
             assert abs(w.f_x - w.f_qx) > scaled.tolerance
             assert qf.value(w.x) == w.f_x and qf.value(w.q.apply(w.x)) == w.f_qx
+        if abs(k) > 900:
+            return
+        # Both forms are decided on the same scaled copy of H_s, so the whole
+        # report scales by 2^k. Eigenvalues stay below 40 * 2^900, so neither
+        # witness is halved, and every value stays a normal double.
+        assert scaled.tolerance == math.ldexp(base.tolerance, k)
+        if base.alpha is not None:
+            assert scaled.alpha == math.ldexp(base.alpha, k)
+        if base.witness is not None:
+            w, b = scaled.witness, base.witness
+            assert w.x.data.tobytes() == b.x.data.tobytes() and w.q.data.tobytes() == b.q.data.tobytes()
+            assert (w.f_x, w.f_qx) == (math.ldexp(b.f_x, k), math.ldexp(b.f_qx, k))
 
     def test_shear_witness_spans_the_gap(self):
         # H_s = [[1,1],[1,1]] has eigenvalues 0 and 2.

@@ -145,6 +145,17 @@ class TestRotationMapping:
                 q = rotation_mapping(Vector(a * eye[i]), Vector(b * eye[j]))
                 assert set(q.data.flat) <= {-1.0, 0.0, 1.0}
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_colinear_pairs_turn_by_exactly_zero_or_pi(self, m):
+        # u.u may round above 1, but v = +/- u fixes the angle at 0 or pi.
+        rng = np.random.default_rng(24 + m)
+        for _ in range(200):
+            u = random_unit(m, rng)
+            assert np.array_equal(rotation_mapping(u, u).data, np.eye(m))
+            q = rotation_mapping(u, Vector(-u.data))
+            validate_rotation(q.matrix)
+            assert np.max(np.abs(q.apply(u).data + u.data)) <= 1e-10
+
     def test_rejects_non_unit(self):
         with pytest.raises(NonUnitVectorError):
             rotation_mapping(Vector([2.0, 0.0]), Vector([0.0, 1.0]))
