@@ -8,123 +8,10 @@ written in a small expression language.
 
 __version__ = "0.1.0"
 
-from .linalg import (
-    DependentPrefixError,
-    DimensionMismatchError,
-    NotSymmetricError,
-    SquareMatrix,
-    Vector,
-    determinant,
-    gram_schmidt_complete,
-    symmetric_eigen_extremes,
-)
-from .rotation import (
-    NonUnitVectorError,
-    NoProperRotationError,
-    NotOrthogonalError,
-    ReflectionError,
-    RotationError,
-    RotationMatrix,
-    WrongDeterminantError,
-    haar_sample,
-    rotation_2d,
-    rotation_mapping,
-    validate_rotation,
-)
-from .objectivity import (
-    Method,
-    NonFiniteValueError,
-    ObjectivityReport,
-    ProfileEvaluationError,
-    QuadraticForm,
-    RadialProfile,
-    RadialSet,
-    Verdict,
-    Witness,
-    extract_profile,
-    finite_set_objectivity,
-    quadratic_objectivity,
-    quadratic_vs_montecarlo_oracle,
-    radial_membership,
-    radial_sampler,
-    radial_set_closure_check,
-    sample_radius,
-    symmetric_part,
-    test_function_objectivity,
-)
-from .expr import (
-    ArityError,
-    DomainError,
-    EvalContext,
-    EvaluationError,
-    Expression,
-    ExpressionError,
-    LexicalError,
-    NonFiniteResultError,
-    ParseError,
-    UnboundVariableError,
-    UnknownFunctionError,
-    evaluate,
-    parse,
-    unparse,
-)
+from . import expr, linalg, objectivity, rotation
+from .linalg import *  # noqa: F401,F403
+from .rotation import *  # noqa: F401,F403
+from .objectivity import *  # noqa: F401,F403
+from .expr import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    # linalg
-    "Vector",
-    "SquareMatrix",
-    "DimensionMismatchError",
-    "DependentPrefixError",
-    "NotSymmetricError",
-    "determinant",
-    "gram_schmidt_complete",
-    "symmetric_eigen_extremes",
-    # rotation
-    "RotationMatrix",
-    "RotationError",
-    "NotOrthogonalError",
-    "WrongDeterminantError",
-    "ReflectionError",
-    "NonUnitVectorError",
-    "NoProperRotationError",
-    "validate_rotation",
-    "rotation_2d",
-    "rotation_mapping",
-    "haar_sample",
-    # objectivity
-    "Verdict",
-    "Method",
-    "Witness",
-    "ObjectivityReport",
-    "RadialSet",
-    "RadialProfile",
-    "QuadraticForm",
-    "NonFiniteValueError",
-    "ProfileEvaluationError",
-    "radial_membership",
-    "sample_radius",
-    "radial_sampler",
-    "radial_set_closure_check",
-    "finite_set_objectivity",
-    "extract_profile",
-    "test_function_objectivity",
-    "symmetric_part",
-    "quadratic_objectivity",
-    "quadratic_vs_montecarlo_oracle",
-    # expr
-    "Expression",
-    "EvalContext",
-    "ExpressionError",
-    "LexicalError",
-    "ParseError",
-    "UnknownFunctionError",
-    "ArityError",
-    "EvaluationError",
-    "DomainError",
-    "NonFiniteResultError",
-    "UnboundVariableError",
-    "parse",
-    "evaluate",
-    "unparse",
-]
+__all__ = ["__version__", *linalg.__all__, *rotation.__all__, *objectivity.__all__, *expr.__all__]

@@ -202,7 +202,7 @@ def _fail(message: str) -> int:
 
 
 def _write_text(text: str, out: str | None) -> int:
-    if not out:
+    if out is None:
         sys.stdout.write(text)
         return EXIT_OK
     try:
@@ -253,8 +253,8 @@ def _cmd_check_quadratic(args: argparse.Namespace) -> int:
         return _fail(f"cannot read {args.matrix}: {exc}")
     except MatrixFileError as exc:
         return _fail(f"{args.matrix}: {exc}")
-    if args.tol <= 0.0:
-        return _fail("--tol must be > 0")
+    if not 0.0 < args.tol < 1.0:
+        return _fail("--tol must be in (0, 1)")
     report = quadratic_objectivity(QuadraticForm(h), tol=args.tol)
     _emit_report(report, None, args.json)
     return _VERDICT_EXIT[report.verdict]
@@ -282,8 +282,8 @@ def _cmd_check_function(args: argparse.Namespace) -> int:
         return _fail(f"--dim must be between 1 and {MAX_DIM}")
     if args.trials < 1:
         return _fail("--trials must be >= 1")
-    if args.tol <= 0.0:
-        return _fail("--tol must be > 0")
+    if not 0.0 < args.tol < math.inf:
+        return _fail("--tol must be finite and > 0")
     if args.seed < 0:
         return _fail("--seed must be >= 0")
     if not (math.isfinite(args.radius_min) and math.isfinite(args.radius_max)):
@@ -353,8 +353,21 @@ def _cmd_sample_rotation(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `error:` line; subparsers inherit it."""
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
+def _out_path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rotinv",
         description="Construct and sample proper rotations; decide or test rotational invariance.",
     )
@@ -367,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("u", help="source vector, e.g. '1 0 0'")
     p.add_argument("v", help="target vector of the same length")
-    p.add_argument("--out", help="write the matrix file here instead of stdout")
+    p.add_argument("--out", type=_out_path, help="write the matrix file here instead of stdout")
     p.set_defaults(func=_cmd_make_rotation)
 
     p = sub.add_parser(
@@ -402,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr", help="expression defining f")
     p.add_argument("--dim", type=int, required=True, help=f"dimension m, at most {MAX_DIM}")
     p.add_argument("--radii", required=True, help="comma-separated grid, e.g. '0,1,2.5'")
-    p.add_argument("--out", help="write CSV here instead of stdout")
+    p.add_argument("--out", type=_out_path, help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser(
@@ -412,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True, help=f"dimension m, at most {MAX_DIM}")
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="output path prefix; files get 000.txt, 001.txt, ...")
+    p.add_argument("--out", type=_out_path, required=True,
+                   help="output path prefix; files get 000.txt, 001.txt, ...")
     p.set_defaults(func=_cmd_sample_rotation)
 
     return parser

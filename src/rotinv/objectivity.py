@@ -497,8 +497,8 @@ def test_function_objectivity(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be finite and > 0")
     if rng is None:
         raise ValueError("an explicitly seeded random generator is required")
     if m == 1:
@@ -599,10 +599,12 @@ def quadratic_objectivity(
     copy of H_s scaled by a power of two so that its largest entry lies
     in [0.5, 1): nothing computed on it overflows, and H and 2^j H are
     decided on the same array. In dimension one alpha is h_00 and the
-    residual is zero, so m = 1 always passes.
+    residual is zero, so m = 1 always passes. tol must lie in (0, 1): a
+    tol of 1 or more would accept diag(1, -1), and tol < 1 keeps the
+    reported tolerance finite.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
+    if not 0.0 < tol < 1.0:
+        raise ValueError("tol must be in (0, 1)")
     hs = symmetric_part(qf.h)
     eff_tol = tol * (top := float(abs(hs.data).max()))
     k = math.frexp(top)[1]

@@ -29,7 +29,6 @@ __all__ = [
     "ReflectionError",
     "NonUnitVectorError",
     "NoProperRotationError",
-    "DEFAULT_TOL",
     "validate_rotation",
     "rotation_2d",
     "rotation_mapping",

@@ -148,9 +148,17 @@ class TestCheckQuadratic:
         assert "verdict: not_objective" in out
 
     def test_loose_tolerance_flag(self, capsys, diag12):
-        code, out, _ = run(capsys, "check-quadratic", diag12, "--tol", "10", "--json")
+        code, out, _ = run(capsys, "check-quadratic", diag12, "--tol", "0.5", "--json")
         assert code == 0
         assert json.loads(out)["verdict"] == "objective"
+
+    @pytest.mark.parametrize("tol", ["1", "10", "inf", "nan"])
+    def test_tol_outside_the_open_unit_interval_exits_2(self, capsys, tmp_path, tol):
+        # tol >= 1 would accept diag(1, -1); tol < 1 keeps tol*max|H_s| finite.
+        path = tmp_path / "big.txt"
+        path.write_text("2\n1.7e308 0\n0 1\n")
+        code, out, err = run(capsys, "check-quadratic", str(path), "--tol", tol, "--json")
+        assert (code, out, err) == (2, "", "error: --tol must be in (0, 1)\n")
 
     def test_malformed_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -248,6 +256,11 @@ class TestCheckFunction:
     def test_negative_seed_exits_2(self, capsys):
         code, _, err = run(capsys, "check-function", "x1", "--dim", "2", "--seed", "-1")
         assert code == 2 and err.startswith("error:") and "--seed" in err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_exits_2(self, capsys, tol):
+        code, out, err = run(capsys, "check-function", "norm(x)", "--dim", "2", "--tol", tol, "--json")
+        assert (code, out, err) == (2, "", "error: --tol must be finite and > 0\n")
 
     @pytest.mark.parametrize("flag,value", [
         ("--radius-min", "nan"), ("--radius-max", "inf"), ("--radius-min", "-inf"),
@@ -372,6 +385,32 @@ class TestContract:
 
     def test_version_exits_0(self, capsys):
         assert run(capsys, "--version")[0] == 0
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run(capsys, "check-function", "--help")
+        assert code == 0 and out.startswith("usage:")
+
+    @pytest.mark.parametrize("argv", [
+        ["check-function", "x1"],
+        ["check-function", "x1", "--dim", "abc"],
+        ["no-such-command"],
+        [],
+    ])
+    def test_usage_error_is_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["make-rotation", "1 0", "0 1"],
+        ["profile", "norm(x)", "--dim", "2", "--radii", "1"],
+        ["sample-rotation", "--dim", "2"],
+    ])
+    def test_empty_out_exits_2_and_writes_nothing(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv, "--out", "")
+        assert (code, out, err) == (2, "", "error: argument --out: must not be empty\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unexpected_exception_exits_2(self, capsys, monkeypatch):
         def boom(*args, **kwargs):

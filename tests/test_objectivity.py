@@ -417,6 +417,9 @@ class TestFunctionObjectivity:
             test_function_objectivity(lambda x: 0.0, 2, sampler, 0, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
             test_function_objectivity(lambda x: 0.0, 2, sampler, 10, rng=None)
+        for tol in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="tol must be finite and > 0"):
+                test_function_objectivity(lambda x: 0.0, 2, sampler, 10, tol, np.random.default_rng(0))
 
     def test_sphere_comparison_point_is_uniform(self):
         # For a radial f the calls of each trial are f(x), f(r*u), f(r*e1);
@@ -628,6 +631,11 @@ class TestQuadraticObjectivity:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             quadratic_objectivity(QuadraticForm(SquareMatrix([[1.0]])), tol=0.0)
+        # tol >= 1 would accept diag(1, -1); the zero form once met inf * 0.
+        for h in ([[1.0, 0.0], [0.0, -1.0]], [[0.0, 0.0], [0.0, 0.0]]):
+            for tol in (1.0, 10.0, math.inf, math.nan):
+                with pytest.raises(ValueError, match=r"tol must be in \(0, 1\)"):
+                    quadratic_objectivity(QuadraticForm(SquareMatrix(h)), tol=tol)
 
 
 class TestOracle:
