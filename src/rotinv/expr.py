@@ -192,22 +192,27 @@ class BinaryOp(Expression):
     def _eval(self, ctx: EvalContext) -> float:
         left = self.left._eval(ctx)
         right = self.right._eval(ctx)
-        if self.op == "+":
-            return _check_finite(left + right, self.pos)
-        if self.op == "-":
-            return _check_finite(left - right, self.pos)
-        if self.op == "*":
-            return _check_finite(left * right, self.pos)
-        if self.op == "/":
+        op = self.op
+        if op == "*":
+            value = left * right
+        elif op == "+":
+            value = left + right
+        elif op == "-":
+            value = left - right
+        elif op == "/":
             if right == 0.0:
                 raise DomainError("division by zero", self.pos)
-            return _check_finite(left / right, self.pos)
-        try:
-            return _check_finite(math.pow(left, right), self.pos)
-        except ValueError:
-            raise DomainError(f"{left!r} ^ {right!r} is undefined over the reals", self.pos) from None
-        except OverflowError:
-            raise NonFiniteResultError("power overflows", self.pos) from None
+            value = left / right
+        else:
+            try:
+                value = math.pow(left, right)
+            except ValueError:
+                raise DomainError(f"{left!r} ^ {right!r} is undefined over the reals", self.pos) from None
+            except OverflowError:
+                raise NonFiniteResultError("power overflows", self.pos) from None
+        if not math.isfinite(value):
+            raise NonFiniteResultError("result is not finite", self.pos)
+        return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,14 +239,18 @@ class Call(Expression):
             p = ctx.point
             if p is None:
                 raise UnboundVariableError(f"{self.name}(x) is not available in profile mode", self.pos)
-            return _check_finite(p.norm() if self.name == "norm" else p.squared_norm(), self.pos)
-        value = self.arg._eval(ctx)
-        try:
-            return _check_finite(SCALAR_FUNCTIONS[self.name](value), self.pos)
-        except ValueError:
-            raise DomainError(f"{self.name}({value!r}) is undefined", self.pos) from None
-        except OverflowError:
-            raise NonFiniteResultError(f"{self.name}({value!r}) overflows", self.pos) from None
+            value = p.norm() if self.name == "norm" else p.squared_norm()
+        else:
+            arg = self.arg._eval(ctx)
+            try:
+                value = SCALAR_FUNCTIONS[self.name](arg)
+            except ValueError:
+                raise DomainError(f"{self.name}({arg!r}) is undefined", self.pos) from None
+            except OverflowError:
+                raise NonFiniteResultError(f"{self.name}({arg!r}) overflows", self.pos) from None
+        if not math.isfinite(value):
+            raise NonFiniteResultError("result is not finite", self.pos)
+        return value
 
 
 # --- lexer -----------------------------------------------------------------
@@ -413,12 +422,6 @@ class EvalContext:
     @classmethod
     def at_radius(cls, radius: float) -> "EvalContext":
         return cls(radius=radius)
-
-
-def _check_finite(value: float, pos: int) -> float:
-    if not math.isfinite(value):
-        raise NonFiniteResultError("result is not finite", pos)
-    return value
 
 
 def evaluate(e: Expression, ctx: EvalContext) -> float:

@@ -12,12 +12,12 @@ only proper rotation is the identity, and exact constructions.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from typing import Protocol
 
 import numpy as np
 
@@ -63,11 +63,11 @@ __all__ = [
 # roundoff, which grows with the radius, never reads as an escape.
 MEMBERSHIP_TOL = 1e-12
 
-# Trials per block in radial_set_closure_check, and a cap on the entries
-# of one block of rotations, which keeps a block within a few megabytes
-# at large m.
-_CLOSURE_BLOCK = 256
-_CLOSURE_BLOCK_ENTRIES = 1 << 18
+# Trials per block in the Monte-Carlo loops, and a cap on the entries of
+# one block's arrays, which keeps a block within a few megabytes at
+# large m.
+_BLOCK = 256
+_BLOCK_ENTRIES = 1 << 18
 
 # Default relative tolerance for Monte-Carlo value comparisons; absorbs
 # rotation-application roundoff.
@@ -252,7 +252,12 @@ class QuadraticForm:
         return float(x.data @ self.h.data @ x.data)
 
 
-DomainSampler = Callable[[np.random.Generator], Vector]
+class DomainSampler(Protocol):
+    """Draws n radii of the domain as an array of shape (n,). The domain
+    of an objectivity test is a union of spheres, so the directions are
+    always uniform and only the radii are sampled."""
+
+    def __call__(self, rng: np.random.Generator, n: int = 1) -> np.ndarray: ...
 
 
 def radial_membership(a: RadialSet, x: Vector) -> bool:
@@ -262,64 +267,55 @@ def radial_membership(a: RadialSet, x: Vector) -> bool:
     return a.contains_radius(x.norm())
 
 
-def _cumulative_weights(a: RadialSet) -> list[float]:
-    # Intervals weigh their length; isolated points are atoms weighted
-    # like the mean interval length (or 1 when there are no intervals).
+def radial_sampler(a: RadialSet) -> DomainSampler:
+    """Default domain sampler for a radial set: radii uniform over total
+    interval length; isolated points are atoms weighted like the mean
+    interval length (or 1 when there are no intervals).
+
+    n radii take one rng.random((2, n)): the first row, scaled by the
+    total weight, picks the piece whose cumulative weight first reaches
+    it; the second places the radius at lo + (hi - lo) * u in that piece.
+    Raises OverflowError when the total weight exceeds the double range.
+    """
     lengths = [hi - lo for lo, hi in a.intervals]
     atom = (sum(lengths) / len(lengths)) if lengths else 1.0
     cumulative = list(itertools.accumulate(lengths + [atom] * len(a.points)))
-    if not math.isfinite(cumulative[-1]):  # rng.uniform's per-draw check, made once
+    if not math.isfinite(cumulative[-1]):
         raise OverflowError("total radius weight exceeds the double range")
-    return cumulative
+    pieces = list(a.intervals) + [(p, p) for p in a.points]
+    if len(pieces) == 1:
+        # Every pick lands in the one piece. Generator.uniform(lo, hi) is
+        # lo + (hi - lo) * u over the same draws as Generator.random.
+        (lo, hi), = pieces
 
+        def sample(rng: np.random.Generator, n: int = 1) -> np.ndarray:
+            return rng.uniform(lo, hi, (2, n))[1]
 
-def _draw_radius(a: RadialSet, cumulative: list[float], rng: np.random.Generator) -> float:
-    pick = cumulative[-1] * rng.random()
-    index = min(bisect.bisect_left(cumulative, pick), len(cumulative) - 1)
-    if index < len(a.intervals):
-        lo, hi = a.intervals[index]
-        return lo + (hi - lo) * rng.random()
-    return a.points[index - len(a.intervals)]
+        return sample
+    total, cumulative = cumulative[-1], np.array(cumulative)
+    low = np.array([lo for lo, _ in pieces])
+    width = np.array([hi - lo for lo, hi in pieces])
+
+    def sample(rng: np.random.Generator, n: int = 1) -> np.ndarray:
+        pick, place = rng.random((2, n))
+        index = np.minimum(np.searchsorted(cumulative, total * pick), len(low) - 1)
+        return low[index] + width[index] * place
+
+    return sample
 
 
 def sample_radius(a: RadialSet, rng: np.random.Generator) -> float:
-    """Draw a radius from the set, uniform over total interval length;
-    isolated points are atoms weighted like the mean interval length
-    (or 1 when there are no intervals)."""
-    return _draw_radius(a, _cumulative_weights(a), rng)
+    """Draw one radius from the set, as radial_sampler(a)(rng) does."""
+    return float(radial_sampler(a)(rng)[0])
 
 
-def _random_unit(m: int, rng: np.random.Generator) -> np.ndarray:
-    # Normalized Gaussian: uniform on the sphere.
-    while True:
-        u = rng.standard_normal(m)
-        n = math.sqrt(u @ u)
-        if n > 1e-12:
-            return u / n
-
-
-def _random_units(count: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    # Rows of normalized Gaussians; a row too short to normalize is redrawn.
-    z = rng.standard_normal((count, m))
-    norms = np.linalg.norm(z, axis=1)
-    while (short := norms <= 1e-12).any():
-        z[short] = rng.standard_normal((int(short.sum()), m))
-        norms = np.linalg.norm(z, axis=1)
-    return z / norms[:, None]
-
-
-def radial_sampler(a: RadialSet) -> DomainSampler:
-    """Default domain sampler for a radial set: radius from sample_radius,
-    direction uniform on the sphere. The draws are those of sample_radius
-    followed by a normalized Gaussian direction."""
-    cumulative = _cumulative_weights(a)
-    m = a.dimension
-
-    def sample(rng: np.random.Generator) -> Vector:
-        t = _draw_radius(a, cumulative, rng)
-        return Vector._trusted(t * _random_unit(m, rng))
-
-    return sample
+def _to_spheres(z: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    # Normalize the Gaussian rows of z, of shape (..., n, m), and scale
+    # them to the n radii in place: uniform points on the spheres. A
+    # Gaussian row is nonzero with probability 1; the chance that one is
+    # exactly zero is below 2^-50 even at m = 1, so none is redrawn.
+    z *= (radii / np.sqrt(np.add.reduce(z * z, -1)))[..., None]
+    return z
 
 
 def radial_set_closure_check(
@@ -329,12 +325,12 @@ def radial_set_closure_check(
     rotation: sample points of the set and rotations, and confirm each
     rotated point still belongs.
 
-    Trials run in blocks: radii are drawn with sample_radius's weighting,
-    directions as normalized Gaussians (uniform on the sphere), and
-    Haar rotations with one stacked QR (haar_stack). A row that leaves
-    the set is checked again through radial_membership and its scalar
-    rotation before it is reported, and the report's trials is the
-    1-based index of that trial.
+    Trials run in blocks: radii come from radial_sampler(a), directions
+    are normalized Gaussians (uniform on the sphere), and Haar rotations
+    come from one stacked QR (haar_stack). A row that leaves the set is
+    checked again through radial_membership and its scalar rotation
+    before it is reported, and the report's trials is the 1-based index
+    of that trial.
 
     By the radial characterization this cannot fail; the membership
     slack grows with the radius as rotation roundoff does, so a
@@ -343,17 +339,13 @@ def radial_set_closure_check(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     m = a.dimension
-    cumulative = np.array(_cumulative_weights(a))
-    low = np.array([lo for lo, _ in a.intervals] + list(a.points))
-    high = np.array([hi for _, hi in a.intervals] + list(a.points))
-    block = max(1, min(_CLOSURE_BLOCK, _CLOSURE_BLOCK_ENTRIES // (m * m)))
+    sampler = radial_sampler(a)
+    block = max(1, min(_BLOCK, _BLOCK_ENTRIES // (m * m)))
     done = 0
     while done < trials:
         n = min(block, trials - done)
-        picks = rng.uniform(0.0, cumulative[-1], n)
-        index = np.minimum(np.searchsorted(cumulative, picks), cumulative.size - 1)
-        radii = rng.uniform(low[index], high[index])
-        x = radii[:, None] * _random_units(n, m, rng)
+        radii = sampler(rng, n)
+        x = _to_spheres(rng.standard_normal((n, m)), radii)
         q = haar_stack(m, n, rng)
         qx = np.einsum("nij,nj->ni", q, x)
         for k in np.flatnonzero(~a.contains_radii(np.linalg.norm(qx, axis=1))):
@@ -468,7 +460,7 @@ def test_function_objectivity(
     """Monte-Carlo invariance test for a black-box scalar function.
 
     By the characterization, f is objective exactly when it is constant
-    on every sphere, so each sampled point x with r = |x| is compared
+    on every sphere, so each sampled point x with radius r is compared
     against two points of its own sphere: a direct check against f(r*u)
     for u uniform on the unit sphere, and a profile check against
     f(r*e1), which an invariant function must match since some rotation
@@ -478,6 +470,15 @@ def test_function_objectivity(
     f(r*u) has the same distribution as f(Qx). Points within
     MEMBERSHIP_TOL of the origin, which every rotation fixes, are
     evaluated but not compared.
+
+    The sampler gives the radii (see DomainSampler); the directions of x
+    and u are uniform. Trials run in blocks of 1, 2, 4, ..., 256 trials,
+    fewer where the block's (2n, m) Gaussians would exceed _BLOCK_ENTRIES.
+    A block of n trials makes one call sampler(rng, n) and one (2n, m)
+    Gaussian draw, whose rows are normalized and scaled to the radii: x
+    for trial k is row k, r*u is row n + k. A refutation in trial 1 thus
+    draws no more than that trial uses. Radii of the wrong shape, or a
+    negative or non-finite radius, raise ValueError.
 
     Violations are judged relative to max(1, |f(x)|). When a comparison
     point y violates, the rotation q = rotation_mapping(x/r, y/r) is built
@@ -521,13 +522,17 @@ def test_function_objectivity(
             witness=witness,
         )
 
-    def sphere_witness(x: Vector, fx: float, r: float, threshold: float, u: np.ndarray) -> Witness | None:
-        # Compare f(x) with f at r*u, u a unit vector; confirm a violation
-        # through the rotation carrying x onto that point.
-        fy = _checked_value(f, Vector._trusted(r * u))
+    def sphere_witness(
+        x: Vector, fx: float, threshold: float, r: float, y: np.ndarray, u: np.ndarray | None = None
+    ) -> Witness | None:
+        # Compare f(x) with f(y), y = r*u a point of the sphere of radius r
+        # that x lies on (u = y/r unless given); confirm a violation through
+        # the rotation carrying x onto y.
+        y = Vector._trusted(y)
+        fy = _checked_value(f, y)
         if abs(fx - fy) <= threshold:
             return None
-        q = rotation_mapping(Vector._trusted(x.data / r), Vector._trusted(u))
+        q = rotation_mapping(Vector._trusted(x.data / r), Vector._trusted(y.data / r if u is None else u))
         fqx = _checked_value(f, q.apply(x))
         if abs(fx - fqx) <= threshold:
             return None
@@ -542,21 +547,34 @@ def test_function_objectivity(
             return refuted(Witness(x=x, q=q, f_x=fx, f_qx=fqx))
         r = x.norm()
         if r > MEMBERSHIP_TOL:
-            witness = sphere_witness(x, fx, r, threshold, e1)
+            witness = sphere_witness(x, fx, threshold, r, r * e1, e1)
             if witness is not None:
                 return refuted(witness)
-    for _ in range(trials):
-        performed += 1
-        x = sampler(rng)
-        fx = _checked_value(f, x)
-        r = x.norm()
-        if r <= MEMBERSHIP_TOL:
-            continue
-        threshold = tol * max(1.0, abs(fx))
-        for u in (_random_unit(m, rng), e1):
-            witness = sphere_witness(x, fx, r, threshold, u)
+    cap = max(1, min(_BLOCK, _BLOCK_ENTRIES // (2 * m)))
+    block, done = 1, 0
+    while done < trials:
+        n = min(block, trials - done)
+        radii = np.asarray(sampler(rng, n), dtype=float)
+        if radii.shape != (n,):
+            raise ValueError(f"the sampler returned radii of shape {radii.shape}, expected ({n},)")
+        # Trial k compares the sampled point z[0, k] with the direct-check
+        # point z[1, k], then with the profile point t*e1, all of radius t.
+        z = _to_spheres(rng.standard_normal((2, n, m)), radii)
+        for k, t in enumerate(radii.tolist()):
+            if not 0.0 <= t < math.inf:
+                raise ValueError(f"the sampler returned the radius {t!r}")
+            performed += 1
+            x = Vector._trusted(z[0, k])
+            fx = _checked_value(f, x)
+            if t <= MEMBERSHIP_TOL:
+                continue
+            threshold = tol * max(1.0, abs(fx))
+            witness = (sphere_witness(x, fx, threshold, t, z[1, k])
+                       or sphere_witness(x, fx, threshold, t, t * e1, e1))
             if witness is not None:
                 return refuted(witness)
+        done += n
+        block = min(2 * block, cap)
     return ObjectivityReport(
         verdict=Verdict.INCONCLUSIVE,
         method=Method.MONTE_CARLO,

@@ -127,26 +127,21 @@ class TestSampling:
         # Atom weight equals the mean interval length, so about half.
         assert 350 < n_atom < 650
 
-    def test_sampler_stream_matches_sample_radius_and_random_unit(self):
-        a = RadialSet(3, intervals=((0.5, 1.0), (2.0, 4.0)), points=(7.0, 9.5))
-        sampler = radial_sampler(a)
-        rng, reference = np.random.default_rng(43), np.random.default_rng(43)
-        for _ in range(300):
-            t = sample_radius(a, reference)
-            expected = t * objectivity._random_unit(3, reference)
-            assert np.array_equal(sampler(rng).data, expected)
-
     @staticmethod
-    def _uniform_reference(a, rng):
-        # sample_radius as written with Generator.uniform.
+    def _reference_radii(a, rng, n):
+        # The documented draw, in Python floats: one rng.random((2, n)); the
+        # first row, times the total weight, picks a piece by bisection over
+        # the cumulative weights, the second places the radius in it.
         lengths = [hi - lo for lo, hi in a.intervals]
         atom = (sum(lengths) / len(lengths)) if lengths else 1.0
         cumulative = list(itertools.accumulate(lengths + [atom] * len(a.points)))
-        pick = rng.uniform(0.0, cumulative[-1])
-        index = min(bisect.bisect_left(cumulative, pick), len(cumulative) - 1)
-        if index < len(a.intervals):
-            return float(rng.uniform(*a.intervals[index]))
-        return a.points[index - len(a.intervals)]
+        pieces = list(a.intervals) + [(p, p) for p in a.points]
+        radii = []
+        for pick, place in zip(*rng.random((2, n)).tolist()):
+            index = min(bisect.bisect_left(cumulative, cumulative[-1] * pick), len(pieces) - 1)
+            lo, hi = pieces[index]
+            radii.append(lo + (hi - lo) * place)
+        return radii
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -154,35 +149,41 @@ class TestSampling:
             st.tuples(st.floats(0.0, 1e300), st.floats(0.0, 1e300)).map(sorted), max_size=4
         ),
         points=st.lists(st.floats(0.0, 1e300), max_size=3),
+        sizes=st.lists(st.integers(1, 300), min_size=1, max_size=4),
         seed=st.integers(0, 2**32),
     )
-    def test_draws_and_generator_state_match_uniform(self, bounds, points, seed):
+    def test_radii_and_generator_state_match_the_documented_draw(self, bounds, points, sizes, seed):
         assume(bounds or points)
         a = RadialSet(3, intervals=tuple(bounds), points=tuple(points))
         sampler = radial_sampler(a)
         rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(5):
-            t, expected = sample_radius(a, rng), self._uniform_reference(a, reference)
-            assert float.hex(t) == float.hex(expected)
+        for n in sizes:
+            radii = sampler(rng, n)
+            expected = self._reference_radii(a, reference, n)
+            assert radii.shape == (n,) and radii.dtype == np.float64
+            assert [float.hex(t) for t in radii.tolist()] == [float.hex(t) for t in expected]
             assert rng.bit_generator.state == reference.bit_generator.state
-            x = sampler(rng).data
-            expected = self._uniform_reference(a, reference) * objectivity._random_unit(3, reference)
-            assert x.tobytes() == expected.tobytes()
-            assert rng.bit_generator.state == reference.bit_generator.state
+            assert a.contains_radii(radii).all()
+        t, (expected,) = sample_radius(a, rng), self._reference_radii(a, reference, 1)
+        assert float.hex(t) == float.hex(expected)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert len(sampler(rng)) == 1
 
     def test_total_weight_beyond_the_double_range_is_rejected(self):
         a = RadialSet(2, intervals=((0.0, 1.5e308),), points=(1.6e308,))
         with pytest.raises(OverflowError):
             sample_radius(a, np.random.default_rng(0))
+        with pytest.raises(OverflowError):
+            radial_sampler(a)
 
-    def test_sampler_points_belong(self):
+    def test_radii_belong(self):
         rng = np.random.default_rng(42)
-        a = RadialSet(4, intervals=((1.0, 2.0),))
+        a = RadialSet(4, intervals=((1.0, 2.0), (3.0, 3.5)), points=(0.0, 9.0))
         sampler = radial_sampler(a)
-        for _ in range(200):
-            x = sampler(rng)
-            assert x.dim == 4
-            assert radial_membership(a, x)
+        for n in (1, 2, 7, 256, 1000):
+            radii = sampler(rng, n)
+            assert radii.shape == (n,)
+            assert all(a.contains_radius(t) for t in radii.tolist())
 
 
 class TestClosureCheck:
@@ -223,7 +224,7 @@ class TestClosureCheck:
         monkeypatch.setattr(objectivity, "haar_stack", stretched)
         report = radial_set_closure_check(RadialSet(2, points=(1.0,)), 1000, np.random.default_rng(53))
         assert report.verdict is Verdict.NOT_OBJECTIVE
-        assert report.trials == objectivity._CLOSURE_BLOCK + 6
+        assert report.trials == objectivity._BLOCK + 6
         w = report.witness
         assert abs(w.x.norm() - 1.0) <= 1e-12
         assert abs(w.q.apply(w.x).norm() - 2.0) <= 1e-12
@@ -421,6 +422,71 @@ class TestFunctionObjectivity:
             with pytest.raises(ValueError, match="tol must be finite and > 0"):
                 test_function_objectivity(lambda x: 0.0, 2, sampler, 10, tol, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bad", [
+        lambda rng, n=1: np.ones(n + 1),
+        lambda rng, n=1: np.ones((n, 1)),
+        lambda rng, n=1: 1.0,
+        lambda rng, n=1: np.full(n, -1.0),
+        lambda rng, n=1: np.full(n, math.nan),
+        lambda rng, n=1: np.full(n, math.inf),
+    ], ids=["long", "column", "scalar", "negative", "nan", "inf"])
+    def test_malformed_radii_are_rejected(self, bad):
+        with pytest.raises(ValueError, match="the sampler returned"):
+            test_function_objectivity(lambda x: 0.0, 2, bad, 10, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    @pytest.mark.parametrize("pieces", [{"intervals": ((0.1, 10.0),)},
+                                        {"intervals": ((0.1, 10.0), (12.0, 13.0)), "points": (20.0,)}])
+    def test_first_trial_refutation_draws_one_radius_and_one_gaussian_pair(self, m, pieces):
+        # A refutation in trial 1 costs one radius draw with n = 1 and one
+        # (2, m) Gaussian draw, and nothing drawn up front for later trials.
+        f = lambda x: float(x.data[0])
+        sampler = radial_sampler(RadialSet(m, **pieces))
+        for seed in range(5):
+            rng, reference = np.random.default_rng([seed, m]), np.random.default_rng([seed, m])
+            report = test_function_objectivity(f, m, sampler, 1000, rng=rng)
+            assert report.verdict is Verdict.NOT_OBJECTIVE and report.trials == 1
+            reference.random((2, 1))
+            reference.standard_normal((2, m))
+            assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("m", (2, 5, 1000))
+    def test_trials_run_in_doubling_blocks(self, m):
+        # 1 + 2 + ... + 256 = 511 trials, then blocks of 256, with a block's
+        # (2n, m) Gaussians capped at _BLOCK_ENTRIES doubles (n = 131 at
+        # m = 1000).
+        trials = 1000
+        sampler = radial_sampler(RadialSet(m, intervals=((0.5, 2.0),)))
+        rng, reference = np.random.default_rng(80), np.random.default_rng(80)
+        report = test_function_objectivity(lambda x: x.norm(), m, sampler, trials, rng=rng)
+        assert report.verdict is Verdict.INCONCLUSIVE and report.trials == trials
+        cap = min(objectivity._BLOCK, objectivity._BLOCK_ENTRIES // (2 * m))
+        block, done = 1, 0
+        while done < trials:
+            n = min(block, trials - done)
+            sampler(reference, n)
+            reference.standard_normal((2 * n, m))
+            done, block = done + n, min(2 * block, cap)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("k", (1, 2, 3, 4, 7, 8, 100, 511, 512, 700))
+    def test_trials_is_the_index_of_the_refuting_trial(self, k):
+        # Radius 0 until trial k: the origin is evaluated but not compared,
+        # so x1 is refuted exactly at trial k, wherever the blocks split.
+        drawn = 0
+
+        def sampler(rng, n=1):
+            nonlocal drawn
+            radii = np.where(np.arange(drawn, drawn + n) < k - 1, 0.0, 1.0)
+            drawn += n
+            return radii
+
+        f = lambda x: float(x.data[0])
+        report = test_function_objectivity(f, 3, sampler, 1000, rng=np.random.default_rng(81))
+        assert report.verdict is Verdict.NOT_OBJECTIVE and report.trials == k
+        w = report.witness
+        assert f(w.x) == w.f_x and f(w.q.apply(w.x)) == w.f_qx
+
     def test_sphere_comparison_point_is_uniform(self):
         # For a radial f the calls of each trial are f(x), f(r*u), f(r*e1);
         # the middle one carries the comparison direction u, whose mean is
@@ -470,7 +536,10 @@ class TestFunctionObjectivity:
         gamma = RadialSet(m, intervals=((low, low + width),)) if width > 0.0 else RadialSet(m, points=(low,))
         sampler = radial_sampler(gamma)
         rng = np.random.default_rng(seed)
-        pinned = ((sampler(rng), validate_rotation(SquareMatrix(np.eye(m)))),) if pin else ()
+        pinned = ()
+        if pin:
+            u = rng.standard_normal(m)
+            pinned = ((Vector(sampler(rng)[0] * u / np.linalg.norm(u)), validate_rotation(SquareMatrix(np.eye(m)))),)
         tol = 1e-9
         report = test_function_objectivity(f, m, sampler, 200, tol, rng, pinned=pinned)
         if report.verdict is not Verdict.NOT_OBJECTIVE:
