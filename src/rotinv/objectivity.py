@@ -283,23 +283,16 @@ def radial_sampler(a: RadialSet) -> DomainSampler:
     if not math.isfinite(cumulative[-1]):
         raise OverflowError("total radius weight exceeds the double range")
     pieces = list(a.intervals) + [(p, p) for p in a.points]
-    if len(pieces) == 1:
-        # Every pick lands in the one piece. Generator.uniform(lo, hi) is
-        # lo + (hi - lo) * u over the same draws as Generator.random.
-        (lo, hi), = pieces
-
-        def sample(rng: np.random.Generator, n: int = 1) -> np.ndarray:
-            return rng.uniform(lo, hi, (2, n))[1]
-
-        return sample
     total, cumulative = cumulative[-1], np.array(cumulative)
     low = np.array([lo for lo, _ in pieces])
     width = np.array([hi - lo for lo, hi in pieces])
 
     def sample(rng: np.random.Generator, n: int = 1) -> np.ndarray:
-        pick, place = rng.random((2, n))
-        index = np.minimum(np.searchsorted(cumulative, total * pick), len(low) - 1)
-        return low[index] + width[index] * place
+        u = rng.random((2, n))
+        # u < 1, so total * u[0] rounds to at most total: the index stays
+        # below len(low).
+        index = cumulative.searchsorted(total * u[0])
+        return low[index] + width[index] * u[1]
 
     return sample
 
@@ -522,21 +515,19 @@ def test_function_objectivity(
             witness=witness,
         )
 
-    def sphere_witness(
-        x: Vector, fx: float, threshold: float, r: float, y: np.ndarray, u: np.ndarray | None = None
-    ) -> Witness | None:
-        # Compare f(x) with f(y), y = r*u a point of the sphere of radius r
-        # that x lies on (u = y/r unless given); confirm a violation through
-        # the rotation carrying x onto y.
+    def sphere_witness(x: Vector, fx: float, threshold: float, r: float, y: np.ndarray) -> Witness | None:
+        # Compare f(x) with f(y), y a point of the sphere of radius r that
+        # x lies on; confirm a violation through the rotation carrying x
+        # onto y. x may be a row view of a block, so the witness copies it.
         y = Vector._trusted(y)
         fy = _checked_value(f, y)
         if abs(fx - fy) <= threshold:
             return None
-        q = rotation_mapping(Vector._trusted(x.data / r), Vector._trusted(y.data / r if u is None else u))
+        q = rotation_mapping(Vector._trusted(x.data / r), Vector._trusted(y.data / r))
         fqx = _checked_value(f, q.apply(x))
         if abs(fx - fqx) <= threshold:
             return None
-        return Witness(x=x, q=q, f_x=fx, f_qx=fqx)
+        return Witness(x=Vector._trusted(x.data.copy()), q=q, f_x=fx, f_qx=fqx)
 
     for x, q in pinned:
         performed += 1
@@ -547,7 +538,7 @@ def test_function_objectivity(
             return refuted(Witness(x=x, q=q, f_x=fx, f_qx=fqx))
         r = x.norm()
         if r > MEMBERSHIP_TOL:
-            witness = sphere_witness(x, fx, threshold, r, r * e1, e1)
+            witness = sphere_witness(x, fx, threshold, r, r * e1)
             if witness is not None:
                 return refuted(witness)
     cap = max(1, min(_BLOCK, _BLOCK_ENTRIES // (2 * m)))
@@ -570,7 +561,7 @@ def test_function_objectivity(
                 continue
             threshold = tol * max(1.0, abs(fx))
             witness = (sphere_witness(x, fx, threshold, t, z[1, k])
-                       or sphere_witness(x, fx, threshold, t, t * e1, e1))
+                       or sphere_witness(x, fx, threshold, t, t * e1))
             if witness is not None:
                 return refuted(witness)
         done += n

@@ -486,6 +486,8 @@ class TestFunctionObjectivity:
         assert report.verdict is Verdict.NOT_OBJECTIVE and report.trials == k
         w = report.witness
         assert f(w.x) == w.f_x and f(w.q.apply(w.x)) == w.f_qx
+        # The witness owns its m entries rather than viewing its block.
+        assert w.x.data.base is None and w.x.data.size == 3
 
     def test_sphere_comparison_point_is_uniform(self):
         # For a radial f the calls of each trial are f(x), f(r*u), f(r*e1);
