@@ -33,7 +33,6 @@ from .expr import (
     ExpressionError,
     evaluate,
     parse as parse_expression,
-    references_radius,
     variable_indices,
 )
 from .linalg import SquareMatrix, Vector
@@ -265,8 +264,6 @@ def _compile_point_function(source: str, m: int):
         expr = parse_expression(source)
     except ExpressionError as exc:
         raise ValueError(f"cannot parse expression: {exc}") from None
-    if references_radius(expr):
-        raise ValueError("the profile argument t is not allowed here; use x1..xm, norm(x), dot(x,x)")
     indices = variable_indices(expr)
     if indices and max(indices) > m:
         raise ValueError(f"expression references x{max(indices)} but the dimension is {m}")
@@ -325,13 +322,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if any(t < 0.0 for t in radii):
         return _fail("grid radii must be >= 0")
     gamma = RadialSet(args.dim, points=tuple(radii))
-    e1 = np.zeros(args.dim)
-    e1[0] = 1.0
     try:
-        profile = extract_profile(f, gamma, Vector(e1), radii)
+        profile = extract_profile(f, gamma, Vector(np.eye(1, args.dim)[0]), radii)
     except ProfileEvaluationError as exc:
         return _fail(str(exc))
-    assert profile.samples is not None
     lines = ["t,phi"] + [f"{_fmt(t)},{_fmt(val)}" for t, val in profile.samples]
     return _write_text("\n".join(lines) + "\n", args.out)
 

@@ -8,10 +8,15 @@ Grammar (whitespace insensitive)::
     unary   := '-' unary | primary
     primary := number | variable | call | '(' expr ')'
 
-Variables are ``x1 ... xm`` (1-based); ``t`` is the reserved profile
-argument. Scalar functions: sin, cos, exp, sqrt, abs, log. The
-whole-vector symbol ``x`` is valid only as the argument of ``norm(x)``
-or ``dot(x, x)``.
+Variables are ``x1 ... xm`` (1-based), bound to the coordinates of the
+point an expression is evaluated at. Scalar functions: sin, cos, exp,
+sqrt, abs, log. The whole-vector symbol ``x`` is valid only as the
+argument of ``norm(x)`` or ``dot(x, x)``.
+
+Each operator, call, parenthesized group, literal and variable takes a
+level; input nested deeper than MAX_DEPTH levels is a ParseError at the
+token that crosses the limit, so parsing and evaluation stay off the
+interpreter's recursion limit.
 
 Note the right-associative power: ``2^3^2`` is ``2^(3^2)`` = 512, not 64.
 Under this grammar ``-2^2`` parses as ``(-2)^2`` = 4, because unary
@@ -26,7 +31,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -36,7 +40,6 @@ __all__ = [
     "Expression",
     "Literal",
     "Variable",
-    "RadiusVar",
     "Negate",
     "BinaryOp",
     "Call",
@@ -54,8 +57,6 @@ __all__ = [
     "evaluate",
     "unparse",
     "variable_indices",
-    "references_radius",
-    "references_point",
 ]
 
 SCALAR_FUNCTIONS = {
@@ -74,6 +75,10 @@ VECTOR_FUNCTIONS = ("norm", "dot")
 # right-associative. Unary minus binds before all of them.
 _BINDING_POWER = {"+": (1, 2), "-": (1, 2), "*": (3, 4), "/": (3, 4), "^": (6, 5)}
 _NEGATE_POWER = 7
+
+# Parsing takes up to two frames per level and evaluation one, which
+# leaves a caller several hundred of the default 1000.
+MAX_DEPTH = 200
 
 
 class ExpressionError(Exception):
@@ -150,23 +155,9 @@ class Variable(Expression):
 
     def _eval(self, ctx: EvalContext) -> float:
         p = ctx.point
-        if p is None:
-            raise UnboundVariableError(f"x{self.index} is not bound in profile mode", self.pos)
         if self.index > p.dim:
             raise UnboundVariableError(f"x{self.index} is out of range for dimension {p.dim}", self.pos)
         return float(p.data[self.index - 1])
-
-
-@dataclass(frozen=True, slots=True)
-class RadiusVar(Expression):
-    """The reserved profile argument t."""
-
-    pos: int = field(default=0, compare=False)
-
-    def _eval(self, ctx: EvalContext) -> float:
-        if ctx.radius is None:
-            raise UnboundVariableError("t is only bound in profile mode", self.pos)
-        return ctx.radius
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,10 +227,7 @@ class Call(Expression):
 
     def _eval(self, ctx: EvalContext) -> float:
         if self.arg is None:
-            p = ctx.point
-            if p is None:
-                raise UnboundVariableError(f"{self.name}(x) is not available in profile mode", self.pos)
-            value = p.norm() if self.name == "norm" else p.squared_norm()
+            value = ctx.point.norm() if self.name == "norm" else ctx.point.squared_norm()
         else:
             arg = self.arg._eval(ctx)
             try:
@@ -325,57 +313,57 @@ class _Parser:
         if tok.text != text:
             raise ParseError(f"expected {text!r}, found {tok.text or tok.kind!r}", tok.pos)
 
-    def parse(self) -> Expression:
-        e = self.expr()
-        tok = self.peek()
-        if tok.kind != _EOF:
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
-        return e
-
-    def expr(self, min_power: int = 0) -> Expression:
+    def expr(self, depth: int, min_power: int = 0) -> tuple[Expression, int]:
         """Parse operands joined by operators whose left binding power is at
-        least min_power."""
+        least min_power, at nesting level depth; return the tree and the
+        number of levels it spans, keeping depth + levels - 1 <= MAX_DEPTH."""
         tok = self.advance()
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", tok.pos)
         if tok.text == "-":
-            left = Negate(self.expr(_NEGATE_POWER), pos=tok.pos)
+            operand, levels = self.expr(depth + 1, _NEGATE_POWER)
+            left = Negate(operand, pos=tok.pos)
         elif tok.text == "(":
-            left = self.expr()
+            left, levels = self.expr(depth + 1)
             self.expect(")")
         elif tok.kind == "number":
-            left = Literal(tok.value, pos=tok.pos)
+            left, levels = Literal(tok.value, pos=tok.pos), 0
         elif tok.kind == "ident":
-            left = self.identifier(tok)
+            left, levels = self.identifier(tok, depth)
         else:
             found = tok.text or tok.kind
             raise ParseError(f"expected a number, variable, function call, or '(', found {found!r}", tok.pos)
+        levels += 1
         while True:
             op = self.peek()
             powers = _BINDING_POWER.get(op.text)
             if powers is None or powers[0] < min_power:
-                return left
+                return left, levels
+            # The operator node sits above left, one level further down.
+            if depth + levels > MAX_DEPTH:
+                raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", op.pos)
             self.i += 1
-            left = BinaryOp(op.text, left, self.expr(powers[1]), pos=op.pos)
+            right, right_levels = self.expr(depth + 1, powers[1])
+            left, levels = BinaryOp(op.text, left, right, pos=op.pos), max(levels, right_levels) + 1
 
-    def identifier(self, tok: _Token) -> Expression:
+    def identifier(self, tok: _Token, depth: int) -> tuple[Expression, int]:
         name = tok.text
-        if name == "t":
-            return RadiusVar(pos=tok.pos)
         if name == "x":
             raise ParseError("the whole-vector symbol x is only valid inside norm(x) or dot(x, x)", tok.pos)
         if name[0] == "x" and name[1:].isdigit():
             index = int(name[1:])
             if index < 1:
                 raise ParseError("variable indices are 1-based: x1 is the first coordinate", tok.pos)
-            return Variable(index, pos=tok.pos)
+            return Variable(index, pos=tok.pos), 0
         if name in SCALAR_FUNCTIONS:
             self.expect("(")
             if self.peek().text == ")":
                 raise ArityError(f"{name} takes exactly one argument", self.peek().pos)
-            arg = self.expr()
+            arg, levels = self.expr(depth + 1)
             if self.peek().text == ",":
                 raise ArityError(f"{name} takes exactly one argument", self.peek().pos)
             self.expect(")")
-            return Call(name, arg, pos=tok.pos)
+            return Call(name, arg, pos=tok.pos), levels
         if name in VECTOR_FUNCTIONS:
             self.expect("(")
             for follow in (",", ")") if name == "dot" else (")",):
@@ -384,7 +372,7 @@ class _Parser:
                     found = symbol.text or symbol.kind
                     raise ArityError(f"{name} takes the whole-vector symbol x, found {found!r}", symbol.pos)
                 self.expect(follow)
-            return Call(name, None, pos=tok.pos)
+            return Call(name, None, pos=tok.pos), 0
         raise UnknownFunctionError(f"unknown function or variable {name!r}", tok.pos)
 
 
@@ -392,36 +380,35 @@ def parse(source: str) -> Expression:
     """Parse source text into an AST.
 
     Raises LexicalError, ParseError, UnknownFunctionError, or ArityError,
-    each carrying the byte offset of the problem.
+    each carrying the byte offset of the problem; input nested deeper
+    than MAX_DEPTH levels is a ParseError.
     """
-    return _Parser(source).parse()
+    parser = _Parser(source)
+    e, _ = parser.expr(1)
+    tok = parser.peek()
+    if tok.kind != _EOF:
+        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+    return e
 
 
 # --- evaluation ------------------------------------------------------------
 
 
 class EvalContext:
-    """Bindings for evaluation: either a point of R^m or a scalar radius t."""
+    """The binding for evaluation: the point x of R^m."""
 
-    __slots__ = ("point", "radius")
+    __slots__ = ("point",)
 
-    def __init__(self, point: Vector | None = None, radius: float | None = None):
-        if (point is None) == (radius is None):
-            raise ValueError("bind exactly one of point (coordinate mode) or radius (profile mode)")
-        if radius is not None and not math.isfinite(radius):
-            raise ValueError("radius binding must be finite")
+    def __init__(self, point: Vector):
+        if not isinstance(point, Vector):
+            raise TypeError(f"the point must be a Vector, got {point!r}")
         self.point = point
-        self.radius = radius
 
     @classmethod
     def at_point(cls, point: Vector) -> "EvalContext":
-        self = object.__new__(cls)  # a Vector is neither None nor a radius: __init__'s checks hold
-        self.point, self.radius = point, None
+        self = object.__new__(cls)  # skips __init__'s type check: the hot path passes a Vector
+        self.point = point
         return self
-
-    @classmethod
-    def at_radius(cls, radius: float) -> "EvalContext":
-        return cls(radius=radius)
 
 
 def evaluate(e: Expression, ctx: EvalContext) -> float:
@@ -435,21 +422,14 @@ def evaluate(e: Expression, ctx: EvalContext) -> float:
 # --- unparse ---------------------------------------------------------------
 
 
-def _render_literal(value: float) -> str:
-    if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
-    return repr(value)
-
-
 def unparse(e: Expression) -> str:
     """Canonical fully parenthesized rendering; parse(unparse(e)) is
-    structurally identical to e."""
-    if isinstance(e, Literal):
-        return _render_literal(e.value)
+    structurally identical to e for a tree of at most MAX_DEPTH // 2
+    levels (each operator's parentheses add a level)."""
+    if isinstance(e, Literal):  # nonnegative by construction
+        return str(int(e.value)) if e.value == int(e.value) and e.value < 1e16 else repr(e.value)
     if isinstance(e, Variable):
         return f"x{e.index}"
-    if isinstance(e, RadiusVar):
-        return "t"
     if isinstance(e, Negate):
         return f"(-{unparse(e.operand)})"
     if isinstance(e, BinaryOp):
@@ -461,33 +441,18 @@ def unparse(e: Expression) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _nodes(e: Expression) -> Iterator[Expression]:
-    """The nodes of the tree in pre-order, without recursion."""
-    stack = [e]
+def variable_indices(e: Expression) -> set[int]:
+    """All coordinate indices referenced by the expression, found without recursion."""
+    indices, stack = set(), [e]
     while stack:
         node = stack.pop()
-        yield node
-        if isinstance(node, Negate):
+        if isinstance(node, Variable):
+            indices.add(node.index)
+        elif isinstance(node, Negate):
             stack.append(node.operand)
         elif isinstance(node, BinaryOp):
-            stack += (node.right, node.left)
+            stack += (node.left, node.right)
         elif isinstance(node, Call) and node.arg is not None:
             stack.append(node.arg)
+    return indices
 
-
-def variable_indices(e: Expression) -> set[int]:
-    """All coordinate indices referenced by the expression."""
-    return {node.index for node in _nodes(e) if isinstance(node, Variable)}
-
-
-def references_radius(e: Expression) -> bool:
-    """True when the expression mentions the profile argument t."""
-    return any(isinstance(node, RadiusVar) for node in _nodes(e))
-
-
-def references_point(e: Expression) -> bool:
-    """True when the expression needs a point binding (coordinates, norm, dot)."""
-    return any(
-        isinstance(node, Variable) or (isinstance(node, Call) and node.arg is None)
-        for node in _nodes(e)
-    )

@@ -94,13 +94,16 @@ class Vector:
         return self._sq
 
     def norm(self) -> float:
-        """Euclidean norm sqrt(x.x), without np.linalg.norm's dispatch overhead;
-        where x.x overflows, it is taken on a copy scaled by 2^-600."""
+        """Euclidean norm sqrt(x.x), without np.linalg.norm's dispatch overhead.
+        Where x.x overflows (some entry exceeds 2^500) it is taken on a copy
+        scaled by 2^-600, and where x.x < 2^-900 (every entry is below
+        2^-450) on a copy scaled by 2^600."""
         sq = self.squared_norm()
-        if sq == math.inf:  # some entry exceeds 2^500, so no entry that matters underflows
-            y = self._data * 2.0**-600
-            return math.sqrt(y @ y) * 2.0**600
-        return math.sqrt(sq)
+        if 2.0**-900 <= sq < math.inf:
+            return math.sqrt(sq)
+        scale = 2.0**-600 if sq == math.inf else 2.0**600
+        y = self._data * scale
+        return math.sqrt(np.vdot(y, y)) / scale
 
     def tolist(self) -> list[float]:
         return self._data.tolist()

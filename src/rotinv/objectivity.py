@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -21,7 +22,6 @@ from typing import Protocol
 
 import numpy as np
 
-from .expr import EvalContext, Expression, evaluate, references_point
 from .linalg import DimensionMismatchError, SquareMatrix, Vector, symmetric_eigen_extremes
 # haar_sample is not called here; the benchmark's tracer
 # (perfbench/layers.py) wraps it under this module's name.
@@ -205,31 +205,19 @@ class RadialSet:
 @dataclass(frozen=True)
 class RadialProfile:
     """The one-dimensional trace of a function along a fixed unit direction:
-    either a sampled (radius, value) table with exact lookup and no
-    interpolation, or a closed-form unary expression in t."""
+    a sampled (radius, value) table with exact lookup and no interpolation."""
 
-    samples: tuple[tuple[float, float], ...] | None = None
-    expression: Expression | None = None
+    samples: tuple[tuple[float, float], ...]
     gamma: RadialSet | None = None
 
     def __post_init__(self):
-        if (self.samples is None) == (self.expression is None):
-            raise ValueError("provide exactly one of samples or expression")
-        if self.expression is not None and references_point(self.expression):
-            raise ValueError("a profile expression may reference only t")
-        if self.samples is not None:
-            object.__setattr__(
-                self, "samples", tuple((float(t), float(v)) for t, v in self.samples)
-            )
-            if self.gamma is not None:
-                for t, _ in self.samples:
-                    if not self.gamma.contains_radius(t):
-                        raise ValueError(f"sampled radius {t!r} lies outside the radius set")
+        object.__setattr__(self, "samples", tuple((float(t), float(v)) for t, v in self.samples))
+        if self.gamma is not None:
+            for t, _ in self.samples:
+                if not self.gamma.contains_radius(t):
+                    raise ValueError(f"sampled radius {t!r} lies outside the radius set")
 
     def value(self, t: float) -> float:
-        if self.expression is not None:
-            return evaluate(self.expression, EvalContext.at_radius(t))
-        assert self.samples is not None
         for radius, val in self.samples:
             if radius == t:
                 return val
@@ -366,35 +354,38 @@ def finite_set_objectivity(points: Sequence[Vector], m: int) -> ObjectivityRepor
 
     In dimension one every set is objective. For m >= 2 a rotation orbit
     of any nonzero point is a whole sphere, so a finite set is objective
-    only when every point is the origin; otherwise some rotation moves a
-    point off the set, and one is constructed as a witness.
+    only when every point is the zero vector; otherwise a rotation
+    carries a point p of largest norm r more than 1e-9*r from every
+    point. It is found on the set scaled by the power of two that brings
+    r into [0.5, 1), so the verdict does not depend on the units.
     """
     if not points:
         raise ValueError("the point set must be nonempty")
     for k, p in enumerate(points):
         if p.dim != m:
             raise DimensionMismatchError(f"point {k} has dimension {p.dim}, expected {m}")
-    nonzero = [p for p in points if p.norm() > MEMBERSHIP_TOL]
-    if m == 1 or not nonzero:
+    p = max(points, key=lambda v: v.norm())
+    if m == 1 or not p.data.any():
         return ObjectivityReport(
             verdict=Verdict.OBJECTIVE,
             method=Method.RADIAL_REPRESENTATION,
             trials=0,
             tolerance=MEMBERSHIP_TOL,
         )
-    p = max(nonzero, key=lambda v: v.norm())
-    r = p.norm()
-    u = p.data / r
+    e = math.frexp(p.norm())[1]
+    scaled = [np.ldexp(q.data, -e) for q in points]
+    x = np.ldexp(p.data, -e)
+    r = math.sqrt(x @ x)
+    u = x / r
     w = _orthogonal_axis(u)
     w /= math.sqrt(w @ w)
     # Distinct directions in the (u, w) plane; the set is finite, so by
     # pigeonhole one of len(points) + 1 candidates carries p off it.
-    separation = 1e-9 * max(1.0, r)
     for k in range(1, len(points) + 2):
         theta = k * math.pi / (len(points) + 2)
         rot = rotation_mapping(Vector(u), Vector(math.cos(theta) * u + math.sin(theta) * w))
-        moved = rot.apply(p).data
-        if all(np.linalg.norm(moved - q.data) > separation for q in points):
+        moved = rot.data @ x
+        if all(np.linalg.norm(moved - q) > 1e-9 * r for q in scaled):
             witness = Witness(x=p, q=rot, f_x=1.0, f_qx=0.0)
             return ObjectivityReport(
                 verdict=Verdict.NOT_OBJECTIVE,
@@ -460,9 +451,10 @@ def test_function_objectivity(
     carries x onto the e1 ray. The direct check is the classical f(Qx)
     test for a Haar-random rotation Q without drawing Q: for m >= 2 and
     x != 0, Qx is uniformly distributed on the sphere of radius r, so
-    f(r*u) has the same distribution as f(Qx). Points within
-    MEMBERSHIP_TOL of the origin, which every rotation fixes, are
-    evaluated but not compared.
+    f(r*u) has the same distribution as f(Qx). Points of radius below the
+    smallest normal double, whose subnormal coordinates cannot be
+    normalized within UNIT_TOL, are evaluated but not compared; so
+    scaling every radius above it by 2^k leaves the report unchanged.
 
     The sampler gives the radii (see DomainSampler); the directions of x
     and u are uniform. Trials run in blocks of 1, 2, 4, ..., 256 trials,
@@ -502,8 +494,7 @@ def test_function_objectivity(
             trials=0,
             tolerance=tol,
         )
-    e1 = np.zeros(m)
-    e1[0] = 1.0
+    e1 = np.eye(1, m)[0]
     performed = 0
 
     def refuted(witness: Witness) -> ObjectivityReport:
@@ -537,7 +528,7 @@ def test_function_objectivity(
         if abs(fx - fqx) > threshold:
             return refuted(Witness(x=x, q=q, f_x=fx, f_qx=fqx))
         r = x.norm()
-        if r > MEMBERSHIP_TOL:
+        if r >= sys.float_info.min:
             witness = sphere_witness(x, fx, threshold, r, r * e1)
             if witness is not None:
                 return refuted(witness)
@@ -557,7 +548,7 @@ def test_function_objectivity(
             performed += 1
             x = Vector._trusted(z[0, k])
             fx = _checked_value(f, x)
-            if t <= MEMBERSHIP_TOL:
+            if t < sys.float_info.min:
                 continue
             threshold = tol * max(1.0, abs(fx))
             witness = (sphere_witness(x, fx, threshold, t, z[1, k])

@@ -239,9 +239,10 @@ class TestCheckFunction:
         code, _, err = run(capsys, "check-function", "x3", "--dim", "2")
         assert code == 2 and "x3" in err
 
-    def test_profile_argument_rejected(self, capsys):
-        code, _, err = run(capsys, "check-function", "t^2", "--dim", "2")
-        assert code == 2 and "t is not allowed" in err
+    def test_t_is_an_unknown_identifier(self, capsys):
+        code, out, err = run(capsys, "check-function", "t^2", "--dim", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot parse expression: unknown function or variable 't' (at offset 0)\n"
 
     def test_domain_error_during_trials(self, capsys):
         code, _, err = run(capsys, "check-function", "log(x1-20)", "--dim", "2")
@@ -278,6 +279,29 @@ class TestCheckFunction:
         assert evaluate(f, EvalContext.at_point(w.x)) == w.f_x
         assert evaluate(f, EvalContext.at_point(w.q.apply(w.x))) == w.f_qx
 
+    def test_radii_where_x_dot_x_underflows(self, capsys):
+        # The norm keeps its bits where x.x underflows: no division by zero.
+        code, out, err = run(capsys, "check-function", "1/norm(x)", "--dim", "2", "--trials", "200",
+                             "--radius-min", "1e-300", "--radius-max", "1e-299")
+        assert (code, err) == (3, "") and out.startswith("verdict: inconclusive\n")
+
+    @pytest.mark.parametrize("low,high", [("1e-13", "9e-13"), ("2e-12", "9e-12"), ("1e-300", "1e-299"),
+                                          ("3e-308", "9e-308")])
+    def test_tiny_radii_are_compared(self, capsys, low, high):
+        code, _, err = run(capsys, "check-function", "x1/norm(x)", "--dim", "2",
+                           "--radius-min", low, "--radius-max", high)
+        assert (code, err) == (1, "")
+
+    def test_subnormal_radii_are_not_compared(self, capsys):
+        code, out, err = run(capsys, "check-function", "x1/norm(x)", "--dim", "2", "--trials", "200",
+                             "--radius-min", "1e-320", "--radius-max", "2e-320")
+        assert (code, err) == (3, "") and "trials: 200\n" in out
+
+    def test_too_deep_an_expression_exits_2(self, capsys):
+        code, out, err = run(capsys, "check-function", "(" * 3000 + "x1" + ")" * 3000, "--dim", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot parse expression: expression nests deeper than 200 levels (at offset 200)\n"
+
     def test_seed_is_echoed_and_reproduces(self, capsys):
         args = ("check-function", "x1", "--dim", "2", "--seed", "42", "--json")
         _, out, _ = run(capsys, *args)
@@ -293,6 +317,11 @@ class TestProfile:
     def test_norm_beyond_the_square_root_of_the_double_maximum(self, capsys):
         code, out, err = run(capsys, "profile", "norm(x)", "--dim", "2", "--radii", "1e200")
         assert (code, out, err) == (0, "t,phi\n1e+200,1e+200\n", "")
+
+    def test_norm_where_x_dot_x_underflows(self, capsys):
+        code, out, err = run(capsys, "profile", "log(norm(x))", "--dim", "2", "--radii", "1e-200,1e-300,3e-310")
+        assert (code, err) == (0, "")
+        assert out == "t,phi\n1e-200,-460.51701859880916\n1e-300,-690.7755278982137\n3e-310,-712.7027665394861\n"
 
     def test_log_at_zero_names_the_radius(self, capsys):
         code, _, err = run(capsys, "profile", "log(norm(x))", "--dim", "2", "--radii", "0,1")

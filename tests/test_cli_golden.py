@@ -19,6 +19,9 @@ name, so no report depends on where the suite runs.
 To regenerate after an intended change of a report:
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+It prints how many blocks differ from the committed file, and the command
+of each, before writing.
 """
 
 import contextlib
@@ -173,5 +176,10 @@ def test_cli_reports_match_golden_file():
 
 
 if __name__ == "__main__":
-    text = "\n".join(line for block in golden_blocks() for line in block) + "\n"
+    blocks = golden_blocks()
+    old = _split(gzip.decompress(GOLDEN_FILE.read_bytes()).decode().splitlines()) if GOLDEN_FILE.exists() else []
+    changed = [block[0] for k, block in enumerate(blocks) if k >= len(old) or old[k] != block]
+    print(f"{len(changed)} of {len(blocks)} blocks differ from the committed file ({len(old)} blocks)")
+    print("\n".join(changed))
+    text = "\n".join(line for block in blocks for line in block) + "\n"
     GOLDEN_FILE.write_bytes(gzip.compress(text.encode(), compresslevel=9, mtime=0))

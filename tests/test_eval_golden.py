@@ -4,12 +4,14 @@ The file pins `evaluate` bit for bit: every value as float.hex, every
 error as its class name and message (which carries the offset). Each of
 AST_COUNT seeded random ASTs is round-tripped through parse(unparse(e)),
 so the nodes carry real source positions, and is evaluated at three
-seeded points for each m in 1..5 and then at one radius, in that order.
-The 32,000 lines take 1.4 MB as text, so the file is gzip-compressed.
+seeded points for each m in 1..5, in that order. The 30,000 lines take
+1.1 MB as text, so the file is gzip-compressed.
 
 To regenerate after an intended change of evaluation semantics:
 
     PYTHONPATH=src python tests/test_eval_golden.py
+
+It prints how many lines differ from the committed file before writing.
 """
 
 import gzip
@@ -44,7 +46,6 @@ def golden_lines() -> list[str]:
             for _ in range(POINTS_PER_DIM):
                 point = Vector(point_rng.uniform(-2.0, 2.0, m))
                 lines.append(_outcome(e, EvalContext.at_point(point)))
-        lines.append(_outcome(e, EvalContext.at_radius(float(point_rng.uniform(0.0, 3.0)))))
     return lines
 
 
@@ -52,11 +53,15 @@ def test_evaluations_match_golden_file():
     expected = gzip.decompress(GOLDEN_FILE.read_bytes()).decode().splitlines()
     observed = golden_lines()
     assert len(observed) == len(expected)
-    per_ast = len(DIMS) * POINTS_PER_DIM + 1
+    per_ast = len(DIMS) * POINTS_PER_DIM
     for k, (got, want) in enumerate(zip(observed, expected)):
         assert got == want, f"AST {k // per_ast}, evaluation {k % per_ast}: {got!r} != {want!r}"
 
 
 if __name__ == "__main__":
-    text = "\n".join(golden_lines()) + "\n"
+    lines = golden_lines()
+    old = gzip.decompress(GOLDEN_FILE.read_bytes()).decode().splitlines() if GOLDEN_FILE.exists() else []
+    changed = sum(k >= len(old) or old[k] != line for k, line in enumerate(lines))
+    print(f"{changed} of {len(lines)} lines differ from the committed file ({len(old)} lines)")
+    text = "\n".join(lines) + "\n"
     GOLDEN_FILE.write_bytes(gzip.compress(text.encode(), compresslevel=9, mtime=0))

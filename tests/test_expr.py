@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotinv.expr import (
+    MAX_DEPTH,
     ArityError,
     BinaryOp,
     Call,
@@ -18,18 +19,16 @@ from rotinv.expr import (
     Negate,
     NonFiniteResultError,
     ParseError,
-    RadiusVar,
     UnboundVariableError,
     UnknownFunctionError,
     Variable,
     evaluate,
     parse,
-    references_point,
-    references_radius,
     unparse,
     variable_indices,
 )
 from rotinv.linalg import Vector
+from rotinv.objectivity import RadialSet, radial_sampler, test_function_objectivity
 
 
 def ev(source, *point):
@@ -101,6 +100,8 @@ MALFORMED = [
     ("x1+²", LexicalError, 3),
     ("٣*x1", LexicalError, 0),
     ("1e999", LexicalError, 0),
+    # t is an ordinary identifier, and no function or variable has its name.
+    ("2*t^2", UnknownFunctionError, 2),
 ]
 
 
@@ -170,31 +171,17 @@ class TestEvaluation:
             ev("x3", 1, 2)
         assert info.value.position == 0
 
-    def test_radius_mode(self):
-        ctx = EvalContext.at_radius(3.0)
-        assert evaluate(parse("t^2+1"), ctx) == 10.0
-
-    def test_radius_not_bound_in_point_mode(self):
-        with pytest.raises(UnboundVariableError):
-            ev("t", 1)
-
-    def test_point_not_bound_in_radius_mode(self):
-        ctx = EvalContext.at_radius(1.0)
-        with pytest.raises(UnboundVariableError):
-            evaluate(parse("x1"), ctx)
-        with pytest.raises(UnboundVariableError):
-            evaluate(parse("norm(x)"), ctx)
-
     def test_domain_error_carries_position(self):
         with pytest.raises(DomainError) as info:
             ev("1 + sqrt(0-9)", 1)
         assert info.value.position == 4
 
-    def test_context_requires_exactly_one_binding(self):
-        with pytest.raises(ValueError):
-            EvalContext()
-        with pytest.raises(ValueError):
-            EvalContext(point=Vector([1.0]), radius=1.0)
+    def test_context_binds_a_point(self):
+        assert EvalContext(Vector([2.0])).point == Vector([2.0])
+        with pytest.raises(TypeError):
+            EvalContext(None)
+        with pytest.raises(TypeError):
+            EvalContext([1.0])
 
     def test_deterministic(self):
         e = parse("sin(x1)*exp(x2)+norm(x)^3")
@@ -202,17 +189,61 @@ class TestEvaluation:
         assert evaluate(e, ctx) == evaluate(e, ctx)
 
 
+# Sources of n nesting levels in each shape, with the offset at which one
+# level more is rejected: the innermost operand for prefix nesting, the
+# MAX_DEPTH-th operator for a chain.
+NESTINGS = {
+    "parentheses": (lambda n: "(" * (n - 1) + "x1" + ")" * (n - 1), MAX_DEPTH),
+    "negations": (lambda n: "-" * (n - 1) + "x1", MAX_DEPTH),
+    "calls": (lambda n: "abs(" * (n - 1) + "x1" + ")" * (n - 1), 4 * MAX_DEPTH),
+    "powers": (lambda n: "1^" * (n - 1) + "x1", 2 * MAX_DEPTH - 1),
+    "sums": (lambda n: "x1+" * (n - 1) + "x1", 3 * MAX_DEPTH - 1),
+}
+
+# Frames taken before the deepest expression is parsed and evaluated, on
+# top of the test runner's own: room left for a caller.
+HEADROOM = 200
+
+
+def _below(frames, fn):
+    return fn() if frames == 0 else _below(frames - 1, fn)
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("shape", NESTINGS)
+    def test_the_limit_parses_and_evaluates_inside_the_monte_carlo_test(self, shape):
+        source = NESTINGS[shape][0](MAX_DEPTH)
+
+        def check():
+            e = parse(source)
+            f = lambda x: evaluate(e, EvalContext.at_point(x))
+            sampler = radial_sampler(RadialSet(2, intervals=((0.5, 2.0),)))
+            return test_function_objectivity(f, 2, sampler, 20, rng=np.random.default_rng(3))
+
+        report = _below(HEADROOM, check)
+        assert report.trials >= 1
+
+    @pytest.mark.parametrize("shape", NESTINGS)
+    def test_one_level_more_is_a_positioned_parse_error(self, shape):
+        make, position = NESTINGS[shape]
+        with pytest.raises(ParseError) as info:
+            parse(make(MAX_DEPTH + 1))
+        assert info.value.position == position
+        assert str(info.value) == f"expression nests deeper than {MAX_DEPTH} levels (at offset {position})"
+
+    @pytest.mark.parametrize("source", [
+        "(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1", "2^" * 3000 + "1", "x1+" * 3000 + "x1",
+        "sin(" * 600 + "1" + ")" * 600,
+    ])
+    def test_deep_input_is_an_expression_error(self, source):
+        with pytest.raises(ParseError):
+            parse(source)
+
+
 class TestIntrospection:
     def test_variable_indices(self):
         assert variable_indices(parse("x1*x2 + sin(x7)")) == {1, 2, 7}
         assert variable_indices(parse("norm(x)^2")) == set()
-
-    def test_references(self):
-        assert references_radius(parse("t^2"))
-        assert not references_radius(parse("x1"))
-        assert references_point(parse("norm(x)"))
-        assert references_point(parse("dot(x,x)"))
-        assert not references_point(parse("t+1"))
 
 
 class TestUnparse:
@@ -236,7 +267,7 @@ class TestUnparse:
 
 
 def random_ast(rng: np.random.Generator, depth: int):
-    leaf_kinds = ("literal", "variable", "radius", "norm", "dot")
+    leaf_kinds = ("literal", "variable", "norm", "dot")
     inner_kinds = ("negate", "binop", "call")
     if depth <= 0 or rng.random() < 0.3:
         kind = leaf_kinds[rng.integers(len(leaf_kinds))]
@@ -244,8 +275,6 @@ def random_ast(rng: np.random.Generator, depth: int):
             return Literal(float(rng.choice([0.0, 1.0, 2.0, 0.5, 1e-9, 3.25, float(rng.uniform(0, 1e6))])))
         if kind == "variable":
             return Variable(int(rng.integers(1, 6)))
-        if kind == "radius":
-            return RadiusVar()
         return Call("norm" if kind == "norm" else "dot", None)
     kind = inner_kinds[rng.integers(len(inner_kinds))]
     if kind == "negate":
@@ -269,7 +298,6 @@ _literals = st.floats(min_value=0.0, max_value=1e12, allow_nan=False, allow_infi
 _leaves = st.one_of(
     st.builds(Literal, _literals),
     st.builds(Variable, st.integers(min_value=1, max_value=9)),
-    st.builds(RadiusVar),
     st.builds(Call, st.just("norm"), st.none()),
     st.builds(Call, st.just("dot"), st.none()),
 )
@@ -286,13 +314,22 @@ _expressions = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=8))
+@example([1e-200, -3e-201])
+@example([5e-324, 5e-324, -1e-310])
 def test_norm_and_dot_are_the_vector_norms(entries):
+    # dot(x,x) is the rounded x.x, underflow and all; norm(x) is its
+    # square root only where x.x >= 2^-900, and keeps its bits below.
     d = np.array(entries)
     v = Vector(entries)
     ctx = EvalContext.at_point(v)
     sq = float(d @ d)
+    norm = evaluate(parse("norm(x)"), ctx)
     assert float.hex(evaluate(parse("dot(x,x)"), ctx)) == float.hex(sq) == float.hex(v.squared_norm())
-    assert float.hex(evaluate(parse("norm(x)"), ctx)) == float.hex(math.sqrt(sq)) == float.hex(v.norm())
+    assert float.hex(norm) == float.hex(v.norm())
+    if sq >= 2.0**-900:
+        assert float.hex(norm) == float.hex(math.sqrt(sq))
+    else:
+        assert abs(norm - math.hypot(*entries)) <= 2 * math.ulp(math.hypot(*entries))
 
 
 def test_vector_functions_beyond_the_double_range_are_non_finite_results():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotinv.linalg import (
@@ -52,13 +52,31 @@ class TestConstruction:
 
 @settings(max_examples=300, deadline=None)
 @given(entries=st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=8), trusted=st.booleans())
+@example(entries=[1e-200, -3e-201], trusted=False)
+@example(entries=[5e-324, 5e-324, -1e-310], trusted=True)
+@example(entries=[3e-160, 4e-160, 0.0], trusted=False)
 def test_norms_are_the_dot_product_bit_for_bit(entries, trusted):
+    # Where x.x < 2^-900 it has lost bits to underflow, and the norm does
+    # not take its square root.
     d = np.array(entries, dtype=float)
     v = Vector._trusted(d.copy()) if trusted else Vector(entries)
     sq = float(d @ d)
     for _ in range(2):
         assert float.hex(v.squared_norm()) == float.hex(sq)
-        assert float.hex(v.norm()) == float.hex(math.sqrt(sq))
+        if sq >= 2.0**-900:
+            assert float.hex(v.norm()) == float.hex(math.sqrt(sq))
+        else:
+            exact = math.hypot(*entries)
+            assert abs(v.norm() - exact) <= 2 * math.ulp(exact)
+
+
+def test_norm_where_the_dot_product_underflows():
+    assert Vector([1e-200, 1e-200]).squared_norm() == 0.0
+    for x in (1e-160, -1e-200, 2.2250738585072014e-308, 3e-310, 5e-324):
+        assert Vector([x]).norm() == abs(x)
+    assert Vector([3e-200, 4e-200]).norm() == pytest.approx(5e-200, rel=1e-15)
+    assert Vector(np.full(1000, 1e-300)).norm() == pytest.approx(1e-300 * math.sqrt(1000), rel=1e-14)
+    assert Vector([0.0, 0.0]).norm() == 0.0
 
 
 def test_norm_where_the_dot_product_overflows():

@@ -295,6 +295,21 @@ class TestFiniteSets:
         moved = w.q.apply(w.x).data
         assert all(np.linalg.norm(moved - p.data) > separation for p in points)
 
+    def test_scaled_sets_are_decided_alike(self):
+        # Only the zero vector is the origin, and images are separated in
+        # units of the largest norm, at every scale whose entries are normal.
+        base = [np.array([1.0, 0.5, 0.0]), np.array([0.0, -0.75, 0.5]), np.array([0.25, 0.0, -1.0])]
+        for k in range(-1020, 1021):
+            points = [Vector(np.ldexp(p, k)) for p in base]
+            report = finite_set_objectivity(points, 3)
+            assert report.verdict is Verdict.NOT_OBJECTIVE, k
+            w = report.witness
+            moved = w.q.apply(w.x).data
+            assert all(math.hypot(*(moved - p.data)) >= 1e-9 * w.x.norm() for p in points), k
+        for x in (1e-13, 1e-11, 1e-300, 5e-324):
+            assert finite_set_objectivity([Vector([x, 0.0])], 2).verdict is Verdict.NOT_OBJECTIVE
+        assert finite_set_objectivity([Vector([0.0, 0.0])] * 2, 2).verdict is Verdict.OBJECTIVE
+
     def test_dimension_mismatch_inside_list(self):
         with pytest.raises(DimensionMismatchError):
             finite_set_objectivity([Vector([1.0, 0.0]), Vector([1.0])], 2)
@@ -346,20 +361,6 @@ class TestRadialProfile:
         assert profile.value(2.0) == 8.0
         with pytest.raises(KeyError):
             profile.value(1.5)
-
-    def test_closed_form(self):
-        profile = RadialProfile(expression=parse("t^2+1"))
-        assert profile.value(3.0) == 10.0
-
-    def test_expression_must_be_unary_in_t(self):
-        with pytest.raises(ValueError):
-            RadialProfile(expression=parse("x1+t"))
-
-    def test_exactly_one_representation(self):
-        with pytest.raises(ValueError):
-            RadialProfile()
-        with pytest.raises(ValueError):
-            RadialProfile(samples=((1.0, 1.0),), expression=parse("t"))
 
     def test_samples_checked_against_gamma(self):
         gamma = RadialSet(2, points=(1.0,))
@@ -552,6 +553,24 @@ class TestFunctionObjectivity:
         assert f(w.x) == w.f_x
         assert f(w.q.apply(w.x)) == w.f_qx
         assert abs(w.f_x - w.f_qx) > tol * max(1.0, abs(w.f_x))
+
+    def test_reports_do_not_depend_on_the_scale(self):
+        # Every radius at or above the smallest normal double is compared,
+        # and norm(x) keeps its bits where x.x under- or overflows, so
+        # radii scaled by 2^k give the k = 0 report.
+        e = parse("x3/norm(x) - x1/norm(x)")
+        f = lambda x: evaluate(e, EvalContext.at_point(x))
+
+        def outcome(k):
+            gamma = RadialSet(3, intervals=((math.ldexp(0.1, k), math.ldexp(10.0, k)),))
+            report = test_function_objectivity(f, 3, radial_sampler(gamma), 1000, rng=np.random.default_rng(5))
+            w = report.witness
+            return report.verdict, report.trials, w.q.matrix.data.tobytes(), w.f_x, w.f_qx
+
+        expected = outcome(0)
+        assert expected[0] is Verdict.NOT_OBJECTIVE
+        for k in range(-1015, 1001):
+            assert outcome(k) == expected, k
 
     def test_reports_reproduce_under_a_seed(self):
         f = lambda x: float(x.data[0] * x.data[1])
