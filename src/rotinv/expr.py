@@ -413,10 +413,15 @@ class EvalContext:
 
 def evaluate(e: Expression, ctx: EvalContext) -> float:
     """Evaluate an AST at the context's binding. Deterministic: identical
-    (expression, context) pairs give bitwise-identical results."""
+    (expression, context) pairs give bitwise-identical results. A tree
+    built from the node classes too deep for the interpreter's recursion
+    limit (parse bounds the depth) raises EvaluationError at e.pos."""
     if not isinstance(e, Expression):
         raise TypeError(f"not an expression node: {e!r}")
-    return e._eval(ctx)
+    try:
+        return e._eval(ctx)
+    except RecursionError:
+        raise EvaluationError("expression nests too deeply to evaluate", e.pos) from None
 
 
 # --- unparse ---------------------------------------------------------------

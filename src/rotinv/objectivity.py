@@ -59,8 +59,10 @@ __all__ = [
 ]
 
 # Tolerance for radius membership at interval endpoints and isolated
-# points: absolute up to radius 1, relative beyond, so that rotation
-# roundoff, which grows with the radius, never reads as an escape.
+# points, relative to the radius: rotation roundoff grows with the
+# radius, so it never reads as an escape, and scaling a set and its
+# radii by a power of two leaves membership unchanged. Subnormal radii
+# have lost that relative precision and take the smallest normal's slack.
 MEMBERSHIP_TOL = 1e-12
 
 # Trials per block in the Monte-Carlo loops, and a cap on the entries of
@@ -191,9 +193,9 @@ class RadialSet:
         return bool(self.contains_radii(t))
 
     def contains_radii(self, t: np.ndarray) -> np.ndarray:
-        """Elementwise membership of radii, with slack MEMBERSHIP_TOL * max(1, t)."""
+        """Elementwise membership of radii, with slack MEMBERSHIP_TOL * max(t, 2^-1022)."""
         t = np.asarray(t, dtype=float)
-        slack = MEMBERSHIP_TOL * np.maximum(1.0, t)
+        slack = MEMBERSHIP_TOL * np.maximum(t, sys.float_info.min)
         inside = np.zeros(t.shape, dtype=bool)
         for lo, hi in self.intervals:
             inside |= (lo - slack <= t) & (t <= hi + slack)
@@ -494,7 +496,8 @@ def test_function_objectivity(
             trials=0,
             tolerance=tol,
         )
-    e1 = np.eye(1, m)[0]
+    e1 = np.zeros(m)
+    e1[0] = 1.0
     performed = 0
 
     def refuted(witness: Witness) -> ObjectivityReport:
@@ -610,7 +613,9 @@ def quadratic_objectivity(
     k = math.frexp(top)[1]
     d = np.ldexp(hs.data, -k)
     alpha = float(d.trace()) / len(d)
-    if float(abs(d - alpha * np.eye(len(d))).max()) <= math.ldexp(eff_tol, -k):
+    r = d.copy()
+    r.flat[:: len(d) + 1] -= alpha
+    if float(np.abs(r, out=r).max()) <= math.ldexp(eff_tol, -k):
         return ObjectivityReport(
             verdict=Verdict.OBJECTIVE,
             method=Method.EXACT_QUADRATIC,

@@ -72,11 +72,10 @@ def _effective_tol(tol: float, m: int) -> float:
 
 
 class RotationMatrix:
-    """A validated proper rotation.
-
-    Instances are only created through :func:`validate_rotation` or the
-    constructors in this module, so holding one certifies that the
-    orthogonality and determinant invariants held at construction time.
+    """A proper rotation. validate_rotation checks a matrix from a caller
+    or a file; rotation_2d, rotation_mapping and haar_sample are proper
+    rotations by construction and return theirs unchecked, and their
+    tests make that check instead.
     """
 
     __slots__ = ("_matrix",)
@@ -138,7 +137,7 @@ def validate_rotation(q: SquareMatrix, tol: float = DEFAULT_TOL) -> RotationMatr
     eff = _effective_tol(tol, q.order)
     gram = d.T @ d
     gram.flat[:: q.order + 1] -= 1.0
-    residual = float(abs(gram).max())
+    residual = float(np.abs(gram, out=gram).max())
     if residual > eff:
         raise NotOrthogonalError(f"orthogonality residual {residual:.3e} exceeds tolerance {eff:.3e}")
     det = float(np.linalg.det(d))
@@ -217,7 +216,7 @@ def rotation_mapping(u: Vector, v: Vector) -> RotationMatrix:
     p = np.array([ud, w])
     q = p.T @ (np.array([[c - 1.0, -s], [s, c - 1.0]]) @ p)
     q.flat[:: m + 1] += 1.0
-    return validate_rotation(SquareMatrix._trusted(q), DEFAULT_TOL)
+    return RotationMatrix._trusted(SquareMatrix._trusted(q))
 
 
 def _sign_fixed(z: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from rotinv.expr import (
     Call,
     DomainError,
     EvalContext,
+    EvaluationError,
     Expression,
     ExpressionError,
     LexicalError,
@@ -238,6 +239,33 @@ class TestNestingLimit:
     def test_deep_input_is_an_expression_error(self, source):
         with pytest.raises(ParseError):
             parse(source)
+
+
+def _left_chain(terms):
+    # x1 + x1 + ... + x1 built from the node classes, as parse would give
+    # it but far deeper than MAX_DEPTH; the root's offset is that of its '+'.
+    e = Variable(1, pos=0)
+    for k in range(1, terms):
+        e = BinaryOp("+", e, Variable(1, pos=3 * k), pos=3 * k - 1)
+    return e
+
+
+class TestUnboundedTrees:
+    def test_deep_tree_is_a_positioned_evaluation_error(self):
+        e = _left_chain(3000)
+        with pytest.raises(EvaluationError) as info:
+            evaluate(e, EvalContext(Vector([1.0, 2.0])))
+        assert info.value.position == e.pos == 3 * 2999 - 1
+
+    def test_deep_tree_is_an_evaluation_error_inside_the_monte_carlo_test(self):
+        e = _left_chain(3000)
+        f = lambda x: evaluate(e, EvalContext.at_point(x))
+        sampler = radial_sampler(RadialSet(2, intervals=((0.5, 2.0),)))
+        with pytest.raises(EvaluationError):
+            test_function_objectivity(f, 2, sampler, 20, rng=np.random.default_rng(4))
+
+    def test_a_tree_below_the_limit_still_evaluates(self):
+        assert evaluate(_left_chain(MAX_DEPTH), EvalContext(Vector([1.5]))) == 1.5 * MAX_DEPTH
 
 
 class TestIntrospection:

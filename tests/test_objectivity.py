@@ -99,6 +99,33 @@ class TestMembership:
         assert a.contains_radius(0.5 - 5e-13)
         assert not a.contains_radius(0.5 - 2e-12)
 
+    def test_slack_is_relative_below_radius_one(self):
+        a = RadialSet(2, intervals=((2e-13, 3e-13),))
+        assert a.contains_radii(np.array([0.0, 1e-13, 1.2e-12, 2.5e-13])).tolist() == [
+            False, False, False, True]
+        assert a.contains_radius(3e-13 + 2e-25) and not a.contains_radius(3e-13 + 1e-24)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        intervals=st.lists(
+            st.tuples(st.floats(1e-6, 1e6), st.floats(1e-6, 1e6)).map(sorted), max_size=3
+        ),
+        points=st.lists(st.just(0.0) | st.floats(1e-6, 1e6), max_size=3),
+        offsets=st.lists(st.floats(-3e-12, 3e-12), min_size=1, max_size=8),
+        k=st.integers(-900, 900),
+    )
+    def test_membership_does_not_depend_on_the_units(self, intervals, points, offsets, k):
+        # Radii on both sides of every endpoint's slack, then the set and
+        # the radii scaled by 2^k, which is exact for all of them.
+        if not intervals and not points:
+            points = [1.0]
+        a = RadialSet(2, intervals=tuple(map(tuple, intervals)), points=tuple(points))
+        ends = [t for iv in a.intervals for t in iv] + list(a.points)
+        radii = np.array([e * (1.0 + o) for e in ends for o in offsets] + [0.0])
+        scaled = RadialSet(2, intervals=tuple((math.ldexp(lo, k), math.ldexp(hi, k)) for lo, hi in a.intervals),
+                           points=tuple(math.ldexp(p, k) for p in a.points))
+        assert scaled.contains_radii(np.ldexp(radii, k)).tolist() == a.contains_radii(radii).tolist()
+
     def test_array_membership_matches_scalar(self):
         a = RadialSet(2, intervals=((1.0, 2.0),), points=(0.0, 1e5))
         radii = np.array([0.0, 1e-13, 0.5, 1.0 - 5e-13, 1.5, 2.0 + 3e-12, 1e5 + 5e-8, 1e5 + 1e-6,
@@ -245,6 +272,13 @@ class TestClosureCheck:
         a = RadialSet(m, intervals=tuple(map(tuple, intervals)), points=tuple(points))
         report = radial_set_closure_check(a, 300, np.random.default_rng(seed))
         assert report.verdict is Verdict.OBJECTIVE
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("r", [1e-300, 1e-200, 1e-100, 1e-13, 1.0])
+    def test_tiny_radii_do_not_escape(self, m, r):
+        for a in (RadialSet(m, intervals=((r, 2 * r),)), RadialSet(m, points=(r, 3 * r))):
+            report = radial_set_closure_check(a, 300, np.random.default_rng(54))
+            assert report.verdict is Verdict.OBJECTIVE
 
 
 class TestFiniteSets:

@@ -1,11 +1,15 @@
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rotinv.linalg import DimensionMismatchError, SquareMatrix, Vector, determinant
 from rotinv.rotation import (
+    DEFAULT_TOL,
     NonUnitVectorError,
     NoProperRotationError,
     NotOrthogonalError,
@@ -15,6 +19,7 @@ from rotinv.rotation import (
     rotation_2d,
     rotation_mapping,
     validate_rotation,
+    _effective_tol,
 )
 
 
@@ -174,6 +179,84 @@ class TestRotationMapping:
                 assert np.max(np.abs(q.apply(u).data - v.data)) <= 1e-10
                 assert np.max(np.abs(q.data.T @ q.data - np.eye(m))) <= 1e-10
                 assert abs(determinant(q.matrix) - 1.0) <= 1e-10
+
+
+PAIR_KINDS = ("random", "same", "antipodal", "axis", "near_above", "near_below", "tiny")
+
+
+def _mapping_pair(m, kind, seed, scale):
+    # A unit pair (u, v) of the given kind; scale, in (0, 1), sets the
+    # residual of v against u for the last three kinds.
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(m)
+    u /= np.linalg.norm(u)
+    if kind == "random":
+        v = rng.standard_normal(m)
+    elif kind == "same":
+        v = u.copy()
+    elif kind == "antipodal":
+        v = -u
+    elif kind == "axis":
+        i, j = rng.integers(m, size=2)
+        u, v = np.zeros(m), np.zeros(m)
+        u[i], v[j] = rng.choice((-1.0, 1.0), size=2)
+    else:
+        # |v - (u.v)u| is factor * 1e-13 up to roundoff near 1e-16: the
+        # colinear fork's threshold sits between the two "near" kinds, and
+        # "tiny" spans 1e-16 to 1e-9.
+        w = rng.standard_normal(m)
+        w -= (u @ w) * u
+        w /= np.linalg.norm(w)
+        factor = {"near_above": 1.0 + scale, "near_below": 1.0 - scale / 2,
+                  "tiny": 10.0 ** (7.0 * scale - 3.0)}[kind]
+        v = rng.choice((-1.0, 1.0)) * u + factor * 1e-13 * w
+    return u, v / np.linalg.norm(v)
+
+
+# rotation_mapping's bits over 2,000 seeded pairs of every kind, recorded
+# before it stopped validating its own output: that change must not move them.
+Q_DIGEST = "b6d074161f66b1acf4615e7825cc2f60c6bad09d9bfbdd67396e76c77728c53d"
+
+
+class TestRotationMappingIsProper:
+    """rotation_mapping returns its closed form unchecked; these tests
+    make the check validate_rotation would have made, and more."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        # One example in eight runs past m = 64, up to 1000.
+        m=st.integers(0, 7).flatmap(lambda k: st.integers(65, 1000) if k == 0 else st.integers(2, 64)),
+        kind=st.sampled_from(PAIR_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.01, 0.99),
+    )
+    @example(m=100, kind="near_below", seed=1, scale=0.5)
+    @example(m=1000, kind="random", seed=2, scale=0.5)
+    @example(m=1000, kind="antipodal", seed=3, scale=0.5)
+    def test_output_is_a_proper_rotation_carrying_u_onto_v(self, m, kind, seed, scale):
+        u, v = _mapping_pair(m, kind, seed, scale)
+        q = rotation_mapping(Vector(u), Vector(v))
+        d = q.data
+        eff = _effective_tol(DEFAULT_TOL, m)
+        assert np.max(np.abs(d.T @ d - np.eye(m))) <= eff
+        assert abs(np.linalg.det(d) - 1.0) <= eff
+        validate_rotation(q.matrix)
+        assert np.linalg.norm(d @ u - v) <= 1e-10
+
+    def test_near_colinear_pairs_straddle_the_fork(self):
+        for kind, colinear in (("near_above", False), ("near_below", True)):
+            u, v = _mapping_pair(8, kind, 5, 0.5)
+            residual = np.linalg.norm(v - (u @ v) * u)
+            assert bool(residual < 1e-13) is colinear
+
+    def test_bits_match_the_recorded_digest(self):
+        h = hashlib.sha256()
+        dims = (2, 3, 5, 8, 32, 100)
+        for k in range(2000):
+            kind = PAIR_KINDS[k // len(dims) % len(PAIR_KINDS)]
+            u, v = _mapping_pair(dims[k % len(dims)], kind, k, (k % 97 + 1) / 98)
+            h.update(rotation_mapping(Vector(u), Vector(v)).data.tobytes())
+        assert h.hexdigest() == Q_DIGEST
 
 
 class TestHaarSample:
