@@ -321,7 +321,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         return _fail("grid radii must be finite")
     if any(t < 0.0 for t in radii):
         return _fail("grid radii must be >= 0")
-    gamma = RadialSet(args.dim, points=tuple(radii))
+    # The grid lies in [0, max]; one interval keeps each membership test O(1).
+    gamma = RadialSet(args.dim, intervals=((0.0, max(radii)),))
     try:
         profile = extract_profile(f, gamma, Vector(np.eye(1, args.dim)[0]), radii)
     except ProfileEvaluationError as exc:

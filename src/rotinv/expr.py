@@ -266,29 +266,27 @@ class _Token(NamedTuple):
 
 
 def _tokenize(source: str) -> list[_Token]:
-    is_ascii = source.isascii()
-
-    def byte_offset(i: int) -> int:
-        return i if is_ascii else len(source[:i].encode("utf-8"))
-
+    # The first non-ASCII character is an "other" token and ends
+    # tokenizing, so every position reached is a character index with
+    # only ASCII before it: equal to its UTF-8 byte offset.
     tokens: list[_Token] = []
     for m in _TOKEN.finditer(source):
         kind = m.lastgroup
         text = m[kind]
-        pos = byte_offset(m.start(kind))
+        pos = m.start(kind)
         value = 0.0
         if kind == "other":
             raise LexicalError(f"unexpected character {text!r}", pos)
         if kind == "number":
             if m["fraction"] == ".":
-                raise LexicalError("expected a digit after the decimal point", byte_offset(m.end("fraction")))
+                raise LexicalError("expected a digit after the decimal point", m.end("fraction"))
             if m["exponent"] == "":
-                raise LexicalError("expected a digit in the exponent", byte_offset(m.end("exponent")))
+                raise LexicalError("expected a digit in the exponent", m.end("exponent"))
             value = float(text)
             if value == math.inf:
                 raise LexicalError("number is too large for a double", pos)
         tokens.append(_Token(kind, text, value, pos))
-    tokens.append(_Token(_EOF, "", 0.0, byte_offset(len(source))))
+    tokens.append(_Token(_EOF, "", 0.0, len(source)))
     return tokens
 
 

@@ -53,7 +53,36 @@ def _freeze(data: np.ndarray) -> np.ndarray:
     return data
 
 
-class Vector:
+class _Value:
+    """Immutable numeric value: entries read through data, and equality,
+    hash and repr by entries, each only against its own type."""
+
+    __slots__ = ()
+
+    @property
+    def data(self) -> np.ndarray:
+        """Read-only ndarray view of the entries."""
+        return self._data
+
+    def tolist(self) -> list:
+        return self.data.tolist()
+
+    def __getitem__(self, key: int | tuple[int, int]) -> float:
+        return float(self.data[key])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return bool(np.array_equal(self.data, other.data))
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.data.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.data.tolist()!r})"
+
+
+class Vector(_Value):
     """Immutable real vector of dimension m >= 1, treated as an m-by-1 column.
 
     Entries must all be finite; NaN or infinity is rejected at construction.
@@ -78,11 +107,6 @@ class Vector:
         return self
 
     @property
-    def data(self) -> np.ndarray:
-        """Read-only ndarray view of the entries."""
-        return self._data
-
-    @property
     def dim(self) -> int:
         return self._data.size
 
@@ -105,31 +129,14 @@ class Vector:
         y = self._data * scale
         return math.sqrt(np.vdot(y, y)) / scale
 
-    def tolist(self) -> list[float]:
-        return self._data.tolist()
-
     def __len__(self) -> int:
         return self._data.size
 
     def __iter__(self) -> Iterator[float]:
         return iter(self._data.tolist())
 
-    def __getitem__(self, i: int) -> float:
-        return float(self._data[i])
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Vector):
-            return NotImplemented
-        return bool(np.array_equal(self._data, other._data))
-
-    def __hash__(self) -> int:
-        return hash((Vector, self._data.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"Vector({self._data.tolist()!r})"
-
-
-class SquareMatrix:
+class SquareMatrix(_Value):
     """Immutable real square matrix of order m >= 1, stored dense row-major."""
 
     __slots__ = ("_data",)
@@ -151,29 +158,8 @@ class SquareMatrix:
         return self
 
     @property
-    def data(self) -> np.ndarray:
-        return self._data
-
-    @property
     def order(self) -> int:
         return self._data.shape[0]
-
-    def tolist(self) -> list[list[float]]:
-        return self._data.tolist()
-
-    def __getitem__(self, ij: tuple[int, int]) -> float:
-        return float(self._data[ij])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SquareMatrix):
-            return NotImplemented
-        return bool(np.array_equal(self._data, other._data))
-
-    def __hash__(self) -> int:
-        return hash((SquareMatrix, self._data.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"SquareMatrix({self._data.tolist()!r})"
 
 
 def determinant(a: SquareMatrix) -> float:

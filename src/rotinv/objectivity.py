@@ -330,8 +330,13 @@ def radial_set_closure_check(
         radii = sampler(rng, n)
         x = _to_spheres(rng.standard_normal((n, m)), radii)
         q = haar_stack(m, n, rng)
-        qx = np.einsum("nij,nj->ni", q, x)
-        for k in np.flatnonzero(~a.contains_radii(np.linalg.norm(qx, axis=1))):
+        # The norms are taken on the block scaled exactly by 2^-e, which
+        # brings the largest radius into [0.5, 1): their squares neither
+        # overflow nor underflow at extreme radii.
+        e = math.frexp(float(radii.max()))[1]
+        qx = np.ldexp(np.einsum("nij,nj->ni", q, x), -e)
+        norms = np.ldexp(np.linalg.norm(qx, axis=1), e)
+        for k in np.flatnonzero(~a.contains_radii(norms)):
             xk = Vector(x[k])
             qk = RotationMatrix._trusted(SquareMatrix(q[k]))
             if not radial_membership(a, qk.apply(xk)):

@@ -18,6 +18,7 @@ from .linalg import (  # noqa: F401
     DimensionMismatchError,
     SquareMatrix,
     Vector,
+    _Value,
     gram_schmidt_complete,
 )
 
@@ -71,7 +72,7 @@ def _effective_tol(tol: float, m: int) -> float:
     return tol if m <= 16 else tol * (m / 16.0)
 
 
-class RotationMatrix:
+class RotationMatrix(_Value):
     """A proper rotation. validate_rotation checks a matrix from a caller
     or a file; rotation_2d, rotation_mapping and haar_sample are proper
     rotations by construction and return theirs unchecked, and their
@@ -80,9 +81,8 @@ class RotationMatrix:
 
     __slots__ = ("_matrix",)
 
-    def __init__(self, matrix: SquareMatrix, tol: float = DEFAULT_TOL):
-        validated = validate_rotation(matrix, tol)
-        self._matrix = validated._matrix
+    def __init__(self, matrix: SquareMatrix):
+        self._matrix = validate_rotation(matrix)._matrix
 
     @classmethod
     def _trusted(cls, matrix: SquareMatrix) -> "RotationMatrix":
@@ -112,17 +112,6 @@ class RotationMatrix:
             )
         # A rotation of a finite vector stays finite; skip revalidation.
         return Vector._trusted(self._matrix.data @ x.data)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RotationMatrix):
-            return NotImplemented
-        return self._matrix == other._matrix
-
-    def __hash__(self) -> int:
-        return hash((RotationMatrix, self._matrix))
-
-    def __repr__(self) -> str:
-        return f"RotationMatrix({self._matrix.tolist()!r})"
 
 
 def validate_rotation(q: SquareMatrix, tol: float = DEFAULT_TOL) -> RotationMatrix:

@@ -350,6 +350,14 @@ class TestProfile:
         assert run(capsys, "profile", "x1", "--dim", "2", "--radii", "-1")[0] == 2
         assert run(capsys, "profile", "x1", "--dim", "2", "--radii", "")[0] == 2
 
+    def test_large_grid_keeps_every_row(self, capsys):
+        # 3,000 radii, each three times and out of order: every row comes
+        # back in grid order.
+        radii = [(7 * i % 1000) / 8 for i in range(3000)]
+        code, out, err = run(capsys, "profile", "dot(x,x)", "--dim", "3", "--radii", ",".join(map(repr, radii)))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["t,phi"] + [f"{t!r},{t * t!r}" for t in radii]
+
     @pytest.mark.parametrize("radii", ["nan", "1,inf", "-inf"])
     def test_non_finite_radii_exit_2(self, capsys, radii):
         code, _, err = run(capsys, "profile", "norm(x)", "--dim", "2", f"--radii={radii}")

@@ -127,6 +127,21 @@ class TestErrors:
             return
         assert isinstance(result, Expression)
 
+    @settings(max_examples=1000, deadline=None)
+    @given(st.tuples(st.text("0123456789.eE+-*/^(), \tx1norms"), st.text()).map("".join))
+    def test_error_positions_stop_at_the_first_non_ascii_character(self, source):
+        # The first non-ASCII character ends tokenizing, so no error lies
+        # past its UTF-8 offset (the whole text's, when there is none).
+        limit = len(source.encode("utf-8"))
+        for i, ch in enumerate(source):
+            if not ch.isascii():
+                limit = len(source[:i].encode("utf-8"))
+                break
+        try:
+            parse(source)
+        except ExpressionError as exc:
+            assert exc.position <= limit
+
     def test_non_ascii_position_is_a_byte_offset(self):
         with pytest.raises(LexicalError) as info:
             parse("2 + π")

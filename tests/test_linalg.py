@@ -15,6 +15,7 @@ from rotinv.linalg import (
     gram_schmidt_complete,
     symmetric_eigen_extremes,
 )
+from rotinv.rotation import RotationMatrix
 
 ROT90 = SquareMatrix([[0.0, -1.0], [1.0, 0.0]])
 
@@ -87,6 +88,52 @@ def test_norm_where_the_dot_product_overflows():
     assert Vector([3e200, 4e200]).norm() == pytest.approx(5e200, rel=1e-15)
     assert Vector(np.full(1000, 1e300)).norm() == pytest.approx(1e300 * math.sqrt(1000), rel=1e-14)
     assert Vector([1.7e308, 1.7e308]).norm() == math.inf
+
+
+# A constructor for each value type, and the repr of the value it builds.
+VALUE_TYPES = {
+    "Vector": (lambda: Vector([0.0, -1.0]), "Vector([0.0, -1.0])"),
+    "SquareMatrix": (lambda: SquareMatrix(ROT90.tolist()), "SquareMatrix([[0.0, -1.0], [1.0, 0.0]])"),
+    "RotationMatrix": (lambda: RotationMatrix(SquareMatrix(ROT90.tolist())), "RotationMatrix([[0.0, -1.0], [1.0, 0.0]])"),
+}
+
+
+class TestValueSemantics:
+    @pytest.mark.parametrize("name", VALUE_TYPES)
+    def test_equal_entries_give_equal_values_and_hashes(self, name):
+        make, _ = VALUE_TYPES[name]
+        a, b = make(), make()
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("name", VALUE_TYPES)
+    def test_repr_is_the_type_and_its_entries(self, name):
+        make, text = VALUE_TYPES[name]
+        assert repr(make()) == text
+
+    def test_different_entries_differ(self):
+        assert Vector([1.0, 2.0]) != Vector([1.0, 2.5])
+        assert SquareMatrix([[1.0]]) != SquareMatrix([[2.0]])
+        assert RotationMatrix(ROT90) != RotationMatrix(SquareMatrix([[1.0, 0.0], [0.0, 1.0]]))
+
+    def test_types_compare_only_against_their_own(self):
+        assert Vector([1.0]) != SquareMatrix([[1.0]])
+        assert SquareMatrix([[1.0]]) != Vector([1.0])
+        q = RotationMatrix(ROT90)
+        assert q != q.matrix and q.matrix != q
+        assert q != ROT90.tolist() and Vector([1.0]) != [1.0]
+
+    def test_rotation_entries_are_its_matrix_entries(self):
+        q = RotationMatrix(ROT90)
+        assert q.tolist() == q.matrix.tolist() == [[0.0, -1.0], [1.0, 0.0]]
+        assert [q[i, j] for i in range(2) for j in range(2)] == [0.0, -1.0, 1.0, 0.0]
+        assert isinstance(q[1, 0], float)
+
+    def test_rotation_constructor_validates(self):
+        with pytest.raises(ValueError):
+            RotationMatrix(SquareMatrix([[1.0, 0.0], [0.0, -1.0]]))
 
 
 class TestDeterminant:

@@ -280,6 +280,22 @@ class TestClosureCheck:
             report = radial_set_closure_check(a, 300, np.random.default_rng(54))
             assert report.verdict is Verdict.OBJECTIVE
 
+    @pytest.mark.parametrize("r", [1e-300, 1e300])
+    def test_extreme_radii_need_no_scalar_recheck(self, monkeypatch, r):
+        # The block norms are taken on a power-of-two-scaled copy, so no
+        # row falls to the scalar path and numpy warns of no overflow
+        # (warnings are errors in this suite).
+        rechecks = []
+
+        def spy(a, x):
+            rechecks.append(x)
+            return radial_membership(a, x)
+
+        monkeypatch.setattr(objectivity, "radial_membership", spy)
+        report = radial_set_closure_check(RadialSet(3, points=(r,)), 1000, np.random.default_rng(55))
+        assert report.verdict is Verdict.OBJECTIVE
+        assert rechecks == []
+
 
 class TestFiniteSets:
     def test_origin_only_is_objective(self):
