@@ -29,6 +29,7 @@ offending subexpression; they never propagate as NaN.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -124,7 +125,7 @@ class UnboundVariableError(EvaluationError):
 class Expression:
     """Base class for AST nodes. Nodes are immutable and freely shareable."""
 
-    __slots__ = ()
+    __slots__ = ("_plan",)  # set by evaluate; no dataclass field, so out of ==, hash and repr
 
 
 @dataclass(frozen=True, slots=True)
@@ -411,15 +412,86 @@ class EvalContext:
 
 def evaluate(e: Expression, ctx: EvalContext) -> float:
     """Evaluate an AST at the context's binding. Deterministic: identical
-    (expression, context) pairs give bitwise-identical results. A tree
-    built from the node classes too deep for the interpreter's recursion
-    limit (parse bounds the depth) raises EvaluationError at e.pos."""
+    (expression, context) pairs give bitwise-identical results: a root is
+    compiled on its first evaluation to straight-line code, shared by its
+    shape, with the per-node interpreter's float operations in its order.
+    The interpreter evaluates what that code cannot: any error, raised
+    with its offset, and any tree taller than MAX_DEPTH, which raises
+    EvaluationError at e.pos where it exceeds the recursion limit."""
     if not isinstance(e, Expression):
         raise TypeError(f"not an expression node: {e!r}")
+    try:
+        plan = e._plan
+    except AttributeError:
+        plan = _build_plan(e)
+        object.__setattr__(e, "_plan", plan)
+    if plan is not None:
+        try:
+            value = plan[0](ctx.point, plan[1])
+        except Exception:  # every error is raised by the interpreter below
+            value = None
+        if value is not None:
+            return value
     try:
         return e._eval(ctx)
     except RecursionError:
         raise EvaluationError("expression nests too deeply to evaluate", e.pos) from None
+
+
+# Source templates of compiled plans. Node data never enters the source:
+# operators and function names only select a template, and literals and
+# variable indices are the plan's constants, so the source is the shape's.
+_BINARY_SOURCE = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}", "^": "pow({}, {})"}
+_CALL_SOURCE = {name: name + "({})" for name in SCALAR_FUNCTIONS}
+_VECTOR_SOURCE = {"norm": ("n", "n = p.norm()"), "dot": ("s", "s = p.squared_norm()")}
+
+
+def _build_plan(e: Expression) -> tuple | None:
+    """(function, constants), where function(point, constants) is e's value
+    at the point, or None if an intermediate is not finite; None for a
+    node outside the tables above or a tree taller than MAX_DEPTH. checked
+    lists each value the interpreter checks is finite, and stack the
+    operand source and height of each pending subtree."""
+    constants, reads, lines, checked, stack = [], {}, [], [], []
+    for node in _postorder(e):
+        kind, height = type(node), 1
+        if kind is Literal:
+            operand = f"c{len(constants)}"
+            constants.append(node.value)
+        elif kind is Variable:
+            reads["v"] = "v = p.data.item"
+            operand = f"v(c{len(constants)})"
+            constants.append(node.index - 1)
+        elif kind is Call and node.arg is None and node.name in _VECTOR_SOURCE:
+            operand, reads[operand] = _VECTOR_SOURCE[node.name]
+            checked.append(operand)
+        else:
+            template = ("-{}" if kind is Negate
+                        else _BINARY_SOURCE.get(node.op) if kind is BinaryOp
+                        else _CALL_SOURCE.get(node.name) if kind is Call and node.arg is not None else None)
+            if template is None:
+                return None
+            args = stack[-template.count("{}"):]
+            del stack[-len(args):]
+            height += max(h for _, h in args)
+            operand = f"t{len(lines)}"
+            lines.append(f"{operand} = " + template.format(*(a for a, _ in args)))
+            checked.append(operand)
+        if height > MAX_DEPTH:
+            return None
+        stack.append((operand, height))
+    # 0 * t is 0 for finite t and NaN otherwise.
+    source = (f"def plan(p, c):\n    [{', '.join(f'c{k}' for k in range(len(constants)))}] = c\n"
+              + "".join(f"    {line}\n" for line in [*reads.values(), *lines])
+              + f"    if {' * '.join(['0.0', *checked])} == 0.0:\n        return {stack[0][0]}\n")
+    return _compile(source), tuple(constants)
+
+
+@functools.lru_cache(maxsize=256)
+def _compile(source: str):
+    namespace = {"__builtins__": {}, "pow": math.pow, **SCALAR_FUNCTIONS}
+    exec(compile(source, "<expression plan>", "exec"), namespace)
+    return namespace["plan"]
 
 
 # --- unparse ---------------------------------------------------------------
@@ -444,18 +516,22 @@ def unparse(e: Expression) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def variable_indices(e: Expression) -> set[int]:
-    """All coordinate indices referenced by the expression, found without recursion."""
-    indices, stack = set(), [e]
+def _postorder(e: Expression) -> list[Expression]:
+    """The nodes under e, children first and left to right, without recursion."""
+    order, stack = [], [e]
     while stack:
         node = stack.pop()
-        if isinstance(node, Variable):
-            indices.add(node.index)
-        elif isinstance(node, Negate):
+        order.append(node)
+        if isinstance(node, Negate):
             stack.append(node.operand)
         elif isinstance(node, BinaryOp):
             stack += (node.left, node.right)
         elif isinstance(node, Call) and node.arg is not None:
             stack.append(node.arg)
-    return indices
+    order.reverse()
+    return order
 
+
+def variable_indices(e: Expression) -> set[int]:
+    """All coordinate indices referenced by the expression, found without recursion."""
+    return {node.index for node in _postorder(e) if isinstance(node, Variable)}

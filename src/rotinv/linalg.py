@@ -106,6 +106,12 @@ class Vector(_Value):
         self._data, self._sq = _freeze(data), None
         return self
 
+    @classmethod
+    def _wrap(cls, data: np.ndarray) -> "Vector":  # as _trusted, for a read-only array
+        self = object.__new__(cls)
+        self._data, self._sq = data, None
+        return self
+
     @property
     def dim(self) -> int:
         return self._data.size

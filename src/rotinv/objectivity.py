@@ -22,7 +22,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, SquareMatrix, Vector, symmetric_eigen_extremes
+from .linalg import DimensionMismatchError, SquareMatrix, Vector, _freeze, symmetric_eigen_extremes
 # haar_sample is not called here; the benchmark's tracer
 # (perfbench/layers.py) wraps it under this module's name.
 from .rotation import (  # noqa: F401
@@ -188,20 +188,20 @@ class RadialSet:
             raise ValueError("the radius set must be nonempty")
         object.__setattr__(self, "intervals", tuple(merged))
         object.__setattr__(self, "points", tuple(keep))
+        # Starts and ends of the disjoint pieces, points as [p, p]: both rows increase.
+        object.__setattr__(self, "_pieces", np.array(sorted([*merged, *((p, p) for p in keep)])).T)
 
     def contains_radius(self, t: float) -> bool:
         return bool(self.contains_radii(t))
 
     def contains_radii(self, t: np.ndarray) -> np.ndarray:
-        """Elementwise membership of radii, with slack MEMBERSHIP_TOL * max(t, 2^-1022)."""
+        """Elementwise membership of radii, with slack MEMBERSHIP_TOL * max(t, 2^-1022).
+        The last piece starting within the slack of t holds t if any does."""
         t = np.asarray(t, dtype=float)
         slack = MEMBERSHIP_TOL * np.maximum(t, sys.float_info.min)
-        inside = np.zeros(t.shape, dtype=bool)
-        for lo, hi in self.intervals:
-            inside |= (lo - slack <= t) & (t <= hi + slack)
-        for p in self.points:
-            inside |= np.abs(t - p) <= slack
-        return inside & np.isfinite(t)
+        starts, ends = self._pieces
+        i = starts.searchsorted(t + slack, side="right") - 1
+        return (i >= 0) & (t <= ends[np.maximum(i, 0)] + slack) & np.isfinite(t)
 
 
 @dataclass(frozen=True)
@@ -218,11 +218,12 @@ class RadialProfile:
             for t, _ in self.samples:
                 if not self.gamma.contains_radius(t):
                     raise ValueError(f"sampled radius {t!r} lies outside the radius set")
+        # The first sample of a radius wins, 0.0 and -0.0 are one key, and NaN is left out.
+        object.__setattr__(self, "_lookup", {t: v for t, v in reversed(self.samples) if not math.isnan(t)})
 
     def value(self, t: float) -> float:
-        for radius, val in self.samples:
-            if radius == t:
-                return val
+        if t in self._lookup:
+            return self._lookup[t]
         raise KeyError(f"radius {t!r} was not sampled (lookup is exact, no interpolation)")
 
 
@@ -330,11 +331,9 @@ def radial_set_closure_check(
         radii = sampler(rng, n)
         x = _to_spheres(rng.standard_normal((n, m)), radii)
         q = haar_stack(m, n, rng)
-        # The norms are taken on the block scaled exactly by 2^-e, which
-        # brings the largest radius into [0.5, 1): their squares neither
-        # overflow nor underflow at extreme radii.
-        e = math.frexp(float(radii.max()))[1]
-        qx = np.ldexp(np.einsum("nij,nj->ni", q, x), -e)
+        # Norms of rows scaled exactly by 2^-e into [0.5, 1): no square overflows or underflows.
+        e = np.frexp(radii)[1]
+        qx = np.ldexp(np.einsum("nij,nj->ni", q, x), -e[:, None])
         norms = np.ldexp(np.linalg.norm(qx, axis=1), e)
         for k in np.flatnonzero(~a.contains_radii(norms)):
             xk = Vector(x[k])
@@ -514,11 +513,10 @@ def test_function_objectivity(
             witness=witness,
         )
 
-    def sphere_witness(x: Vector, fx: float, threshold: float, r: float, y: np.ndarray) -> Witness | None:
+    def sphere_witness(x: Vector, fx: float, threshold: float, r: float, y: Vector) -> Witness | None:
         # Compare f(x) with f(y), y a point of the sphere of radius r that
         # x lies on; confirm a violation through the rotation carrying x
         # onto y. x may be a row view of a block, so the witness copies it.
-        y = Vector._trusted(y)
         fy = _checked_value(f, y)
         if abs(fx - fy) <= threshold:
             return None
@@ -537,7 +535,7 @@ def test_function_objectivity(
             return refuted(Witness(x=x, q=q, f_x=fx, f_qx=fqx))
         r = x.norm()
         if r >= sys.float_info.min:
-            witness = sphere_witness(x, fx, threshold, r, r * e1)
+            witness = sphere_witness(x, fx, threshold, r, Vector._trusted(r * e1))
             if witness is not None:
                 return refuted(witness)
     cap = max(1, min(_BLOCK, _BLOCK_ENTRIES // (2 * m)))
@@ -548,19 +546,22 @@ def test_function_objectivity(
         if radii.shape != (n,):
             raise ValueError(f"the sampler returned radii of shape {radii.shape}, expected ({n},)")
         # Trial k compares the sampled point z[0, k] with the direct-check
-        # point z[1, k], then with the profile point t*e1, all of radius t.
-        z = _to_spheres(rng.standard_normal((2, n, m)), radii)
+        # point z[1, k], then with the profile point t*e1 = profile[k].
+        z = _freeze(_to_spheres(rng.standard_normal((2, n, m)), radii))
+        profile = np.zeros((n, m))
+        profile[:, 0] = radii  # t*e1, without its NaN where t is infinite
+        _freeze(profile)
         for k, t in enumerate(radii.tolist()):
             if not 0.0 <= t < math.inf:
                 raise ValueError(f"the sampler returned the radius {t!r}")
             performed += 1
-            x = Vector._trusted(z[0, k])
+            x = Vector._wrap(z[0, k])
             fx = _checked_value(f, x)
             if t < sys.float_info.min:
                 continue
             threshold = tol * max(1.0, abs(fx))
-            witness = (sphere_witness(x, fx, threshold, t, z[1, k])
-                       or sphere_witness(x, fx, threshold, t, t * e1))
+            witness = (sphere_witness(x, fx, threshold, t, Vector._wrap(z[1, k]))
+                       or sphere_witness(x, fx, threshold, t, Vector._wrap(profile[k])))
             if witness is not None:
                 return refuted(witness)
         done += n
