@@ -15,8 +15,8 @@ argument of ``norm(x)`` or ``dot(x, x)``.
 
 Each operator, call, parenthesized group, literal and variable takes a
 level; input nested deeper than MAX_DEPTH levels is a ParseError at the
-token that crosses the limit, so parsing and evaluation stay off the
-interpreter's recursion limit.
+token that crosses the limit. No tree, parsed or built, is taller than
+MAX_DEPTH levels, so tree walks stay off the interpreter's recursion limit.
 
 Note the right-associative power: ``2^3^2`` is ``2^(3^2)`` = 512, not 64.
 Under this grammar ``-2^2`` parses as ``(-2)^2`` = 4, because unary
@@ -77,8 +77,8 @@ VECTOR_FUNCTIONS = ("norm", "dot")
 _BINDING_POWER = {"+": (1, 2), "-": (1, 2), "*": (3, 4), "/": (3, 4), "^": (6, 5)}
 _NEGATE_POWER = 7
 
-# Parsing takes up to two frames per level and evaluation one, which
-# leaves a caller several hundred of the default 1000.
+# Levels input may nest and a tree may stand. parse, evaluate, unparse, ==,
+# hash and repr take at most three frames a level, which leaves a caller 200.
 MAX_DEPTH = 200
 
 
@@ -123,9 +123,18 @@ class UnboundVariableError(EvaluationError):
 
 
 class Expression:
-    """Base class for AST nodes. Nodes are immutable and freely shareable."""
+    """Base class for AST nodes. Nodes are immutable and freely shareable.
+    A node's height, 1 for a leaf and otherwise 1 + its tallest child's, is
+    set when it is built and is not part of its value; building a node
+    taller than MAX_DEPTH raises ValueError."""
 
     __slots__ = ("_plan",)  # set by evaluate; no dataclass field, so out of ==, hash and repr
+    height = 1  # a leaf's; the inner node classes keep theirs in a field
+
+    def _set_height(self, height: int) -> None:
+        if height > MAX_DEPTH:
+            raise ValueError(f"expression trees are at most {MAX_DEPTH} levels tall")
+        object.__setattr__(self, "height", height)
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,6 +174,10 @@ class Variable(Expression):
 class Negate(Expression):
     operand: Expression
     pos: int = field(default=0, compare=False)
+    height: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        self._set_height(self.operand.height + 1)
 
     def _eval(self, ctx: EvalContext) -> float:
         return -self.operand._eval(ctx)
@@ -176,10 +189,12 @@ class BinaryOp(Expression):
     left: Expression
     right: Expression
     pos: int = field(default=0, compare=False)
+    height: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.op not in _BINDING_POWER:
             raise ValueError(f"unknown operator {self.op!r}")
+        self._set_height(max(self.left.height, self.right.height) + 1)
 
     def _eval(self, ctx: EvalContext) -> float:
         left = self.left._eval(ctx)
@@ -215,6 +230,7 @@ class Call(Expression):
     name: str
     arg: Expression | None
     pos: int = field(default=0, compare=False)
+    height: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.name in SCALAR_FUNCTIONS:
@@ -225,6 +241,7 @@ class Call(Expression):
                 raise ValueError(f"{self.name} takes only the whole-vector symbol x")
         else:
             raise ValueError(f"unknown function {self.name!r}")
+        self._set_height(1 if self.arg is None else self.arg.height + 1)
 
     def _eval(self, ctx: EvalContext) -> float:
         if self.arg is None:
@@ -416,8 +433,7 @@ def evaluate(e: Expression, ctx: EvalContext) -> float:
     compiled on its first evaluation to straight-line code, shared by its
     shape, with the per-node interpreter's float operations in its order.
     The interpreter evaluates what that code cannot: any error, raised
-    with its offset, and any tree taller than MAX_DEPTH, which raises
-    EvaluationError at e.pos where it exceeds the recursion limit."""
+    with its offset."""
     if not isinstance(e, Expression):
         raise TypeError(f"not an expression node: {e!r}")
     try:
@@ -432,10 +448,7 @@ def evaluate(e: Expression, ctx: EvalContext) -> float:
             value = None
         if value is not None:
             return value
-    try:
-        return e._eval(ctx)
-    except RecursionError:
-        raise EvaluationError("expression nests too deeply to evaluate", e.pos) from None
+    return e._eval(ctx)
 
 
 # Source templates of compiled plans. Node data never enters the source:
@@ -449,12 +462,12 @@ _VECTOR_SOURCE = {"norm": ("n", "n = p.norm()"), "dot": ("s", "s = p.squared_nor
 def _build_plan(e: Expression) -> tuple | None:
     """(function, constants), where function(point, constants) is e's value
     at the point, or None if an intermediate is not finite; None for a
-    node outside the tables above or a tree taller than MAX_DEPTH. checked
-    lists each value the interpreter checks is finite, and stack the
-    operand source and height of each pending subtree."""
+    node outside the tables above. checked lists each value the
+    interpreter checks is finite, and stack the operand source of each
+    pending subtree."""
     constants, reads, lines, checked, stack = [], {}, [], [], []
     for node in _postorder(e):
-        kind, height = type(node), 1
+        kind = type(node)
         if kind is Literal:
             operand = f"c{len(constants)}"
             constants.append(node.value)
@@ -473,17 +486,14 @@ def _build_plan(e: Expression) -> tuple | None:
                 return None
             args = stack[-template.count("{}"):]
             del stack[-len(args):]
-            height += max(h for _, h in args)
             operand = f"t{len(lines)}"
-            lines.append(f"{operand} = " + template.format(*(a for a, _ in args)))
+            lines.append(f"{operand} = " + template.format(*args))
             checked.append(operand)
-        if height > MAX_DEPTH:
-            return None
-        stack.append((operand, height))
+        stack.append(operand)
     # 0 * t is 0 for finite t and NaN otherwise.
     source = (f"def plan(p, c):\n    [{', '.join(f'c{k}' for k in range(len(constants)))}] = c\n"
               + "".join(f"    {line}\n" for line in [*reads.values(), *lines])
-              + f"    if {' * '.join(['0.0', *checked])} == 0.0:\n        return {stack[0][0]}\n")
+              + f"    if {' * '.join(['0.0', *checked])} == 0.0:\n        return {stack[0]}\n")
     return _compile(source), tuple(constants)
 
 
@@ -498,8 +508,8 @@ def _compile(source: str):
 
 
 def unparse(e: Expression) -> str:
-    """Canonical fully parenthesized rendering; parse(unparse(e)) is
-    structurally identical to e for a tree of at most MAX_DEPTH // 2
+    """Canonical fully parenthesized rendering of any tree; parse(unparse(e))
+    is structurally identical to e for a tree of at most MAX_DEPTH // 2
     levels (each operator's parentheses add a level)."""
     if isinstance(e, Literal):  # nonnegative by construction
         return str(int(e.value)) if e.value == int(e.value) and e.value < 1e16 else repr(e.value)

@@ -293,13 +293,24 @@ def sample_radius(a: RadialSet, rng: np.random.Generator) -> float:
     return float(radial_sampler(a)(rng)[0])
 
 
+@np.errstate(over="raise")
 def _to_spheres(z: np.ndarray, radii: np.ndarray) -> np.ndarray:
     # Normalize the Gaussian rows of z, of shape (..., n, m), and scale
-    # them to the n radii in place: uniform points on the spheres. A
-    # Gaussian row is nonzero with probability 1; the chance that one is
-    # exactly zero is below 2^-50 even at m = 1, so none is redrawn.
-    z *= (radii / np.sqrt(np.add.reduce(z * z, -1)))[..., None]
-    return z
+    # them to the n radii: uniform points on the spheres. A Gaussian row
+    # is nonzero with probability 1; the chance that one is exactly zero
+    # is below 2^-50 even at m = 1, so none is redrawn.
+    norms = np.sqrt(np.add.reduce(z * z, -1))
+    try:
+        return z * (radii / norms)[..., None]
+    except FloatingPointError:
+        # r/|z| or r/|z| * z_i passed the double maximum, as only an r near
+        # it can. r/|z| * |z| bounds every |r/|z| * z_i|: rows where that
+        # overflows are normalized first, and the other rows keep their bits.
+        with np.errstate(over="ignore"):
+            tall = np.isinf(radii / norms * norms)
+        z[tall] /= norms[tall][:, None]
+        norms[tall] = 1.0
+        return z * (radii / norms)[..., None]
 
 
 def radial_set_closure_check(

@@ -208,19 +208,6 @@ def rotation_mapping(u: Vector, v: Vector) -> RotationMatrix:
     return RotationMatrix._trusted(SquareMatrix._trusted(q))
 
 
-def _sign_fixed(z: np.ndarray) -> np.ndarray:
-    # QR of Gaussian matrices stacked on the leading axes, each Q column
-    # multiplied by the sign of the matching diagonal entry of R (Haar
-    # over O(m)), and a determinant of -1 folded into SO(m) by negating
-    # the last column. det(Q diag(s)) = det(Q) prod(s), so the fold is
-    # one more sign on the last column; LAPACK's det gives that cheaply.
-    q, r = np.linalg.qr(z)
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    signs[signs == 0.0] = 1.0
-    signs[..., -1] *= np.sign(np.linalg.det(q)) * np.prod(signs, axis=-1)
-    return q * signs[..., None, :]
-
-
 def haar_stack(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw count Haar-uniform samples from SO(m) as a (count, m, m) array.
 
@@ -233,7 +220,13 @@ def haar_stack(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _sign_fixed(rng.standard_normal((count, m, m)))
+    # det(Q diag(s)) = det(Q) prod(s), so the fold is one more sign on
+    # the last column; LAPACK's det gives that cheaply.
+    q, r = np.linalg.qr(rng.standard_normal((count, m, m)))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs[signs == 0.0] = 1.0
+    signs[..., -1] *= np.sign(np.linalg.det(q)) * np.prod(signs, axis=-1)
+    return q * signs[..., None, :]
 
 
 def haar_sample(m: int, rng: np.random.Generator) -> RotationMatrix:

@@ -218,6 +218,14 @@ class TestCheckFunction:
         assert doc["trials"] == 300
         assert doc["seed"] == 0
 
+    def test_radii_near_the_double_maximum_are_inconclusive(self, capsys):
+        code, out, err = run(
+            capsys, "check-function", "norm(x)", "--dim", "2",
+            "--radius-min", "1e306", "--radius-max", "1e307",
+        )
+        assert code == 3, err
+        assert "verdict: inconclusive" in out
+
     def test_coordinate_is_refuted(self, capsys):
         code, out, _ = run(capsys, "check-function", "x1", "--dim", "2", "--json")
         assert code == 1

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -12,7 +15,6 @@ from rotinv.expr import (
     Call,
     DomainError,
     EvalContext,
-    EvaluationError,
     Expression,
     ExpressionError,
     LexicalError,
@@ -29,7 +31,7 @@ from rotinv.expr import (
     variable_indices,
 )
 from rotinv.linalg import Vector
-from rotinv.objectivity import RadialSet, radial_sampler, test_function_objectivity
+from rotinv.objectivity import RadialSet, Verdict, radial_sampler, test_function_objectivity
 
 
 def ev(source, *point):
@@ -258,26 +260,45 @@ class TestNestingLimit:
 
 def _left_chain(terms):
     # x1 + x1 + ... + x1 built from the node classes, as parse would give
-    # it but far deeper than MAX_DEPTH; the root's offset is that of its '+'.
+    # it; the root's offset is that of its '+'.
     e = Variable(1, pos=0)
     for k in range(1, terms):
         e = BinaryOp("+", e, Variable(1, pos=3 * k), pos=3 * k - 1)
     return e
 
 
-class TestUnboundedTrees:
-    def test_deep_tree_is_a_positioned_evaluation_error(self):
-        e = _left_chain(3000)
-        with pytest.raises(EvaluationError) as info:
-            evaluate(e, EvalContext(Vector([1.0, 2.0])))
-        assert info.value.position == e.pos == 3 * 2999 - 1
+# One level more on a tree, by the node class that adds it: the tree grows
+# on the left or the right of a '+', under a negation, or inside a call.
+LEVELS = {
+    "left": lambda e: BinaryOp("+", e, Variable(1)),
+    "right": lambda e: BinaryOp("+", Variable(1), e),
+    "negate": Negate,
+    "call": lambda e: Call("abs", e),
+}
 
-    def test_deep_tree_is_an_evaluation_error_inside_the_monte_carlo_test(self):
-        e = _left_chain(3000)
+
+def _tower(shape, height):
+    e = Variable(1)
+    for _ in range(height - 1):
+        e = LEVELS[shape](e)
+    return e
+
+
+class TestUnboundedTrees:
+    @pytest.mark.parametrize("shape", LEVELS)
+    def test_one_level_over_the_limit_cannot_be_built(self, shape):
+        e = _tower(shape, MAX_DEPTH)
+        assert e.height == MAX_DEPTH
+        with pytest.raises(ValueError, match=f"expression trees are at most {MAX_DEPTH} levels tall"):
+            LEVELS[shape](e)
+
+    @pytest.mark.parametrize("shape", LEVELS)
+    def test_a_tree_at_the_limit_is_refuted_inside_the_monte_carlo_test(self, shape):
+        e = _tower(shape, MAX_DEPTH)
         f = lambda x: evaluate(e, EvalContext.at_point(x))
         sampler = radial_sampler(RadialSet(2, intervals=((0.5, 2.0),)))
-        with pytest.raises(EvaluationError):
-            test_function_objectivity(f, 2, sampler, 20, rng=np.random.default_rng(4))
+        report = _below(HEADROOM, lambda: test_function_objectivity(f, 2, sampler, 20, rng=np.random.default_rng(4)))
+        assert report.verdict is Verdict.NOT_OBJECTIVE  # every shape depends on x1 alone
 
     def test_a_tree_below_the_limit_still_evaluates(self):
         assert evaluate(_left_chain(MAX_DEPTH), EvalContext(Vector([1.5]))) == 1.5 * MAX_DEPTH
@@ -335,6 +356,68 @@ class TestRoundTrip:
         for _ in range(300):
             e = random_ast(rng, depth=6)
             assert parse(unparse(e)) == e
+
+
+def _longest_path(e):
+    # Nodes on the longest downward path, counted by recursion over the children.
+    children = [getattr(e, name, None) for name in ("operand", "left", "right", "arg")]
+    return 1 + max((_longest_path(c) for c in children if isinstance(c, Expression)), default=0)
+
+
+_COPIES = {
+    "pickle": lambda e: pickle.loads(pickle.dumps(e)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "replace": dataclasses.replace,  # rebuilt through __init__
+}
+
+
+class TestHeight:
+    @pytest.mark.parametrize("shape", LEVELS)
+    def test_walks_at_the_limit_leave_a_caller_its_headroom(self, shape):
+        e, twin = _tower(shape, MAX_DEPTH), _tower(shape, MAX_DEPTH)
+        ctx = EvalContext.at_point(Vector([1.5]))
+
+        def walk():
+            return (evaluate(e, ctx), e._eval(ctx), unparse(e), repr(e), hash(e), e == twin)
+
+        value, interpreted, text, rendering, digest, equal = _below(HEADROOM, walk)
+        assert float.hex(value) == float.hex(interpreted)
+        assert text == unparse(twin) and rendering == repr(twin) and digest == hash(twin) and equal
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 12))
+    def test_height_is_the_longest_path(self, seed, depth):
+        e = random_ast(np.random.default_rng(seed), depth)
+        assert e.height == _longest_path(e) <= depth + 1
+
+    def test_parentheses_still_count_against_the_parse_limit(self):
+        # The tree is 61 levels tall, but parse counts the 150 groups too.
+        source = "(" * 150 + "x1" + ")" * 150 + "+x1" * 60
+        with pytest.raises(ParseError) as info:
+            parse(source)
+        assert info.value.position == 449
+        assert str(info.value) == f"expression nests deeper than {MAX_DEPTH} levels (at offset 449)"
+
+    @pytest.mark.parametrize("how", _COPIES)
+    @pytest.mark.parametrize("e", [parse("-sin(x1)^2 + norm(x)*3"), parse("x2 - (x1 + dot(x,x))/2"), _tower("right", 100)])
+    def test_copies_keep_height_and_value(self, how, e):
+        twin = _COPIES[how](e)
+        assert twin == e and hash(twin) == hash(e) and repr(twin) == repr(e)
+        assert twin.height == e.height == _longest_path(e)
+        assert Negate(twin).height == e.height + 1
+
+    def test_replace_recomputes_the_height(self):
+        e = BinaryOp("*", Variable(1), Literal(2.0))
+        assert dataclasses.replace(e, left=_tower("negate", 10)).height == 11
+        with pytest.raises(ValueError):
+            dataclasses.replace(e, right=_tower("call", MAX_DEPTH))
+
+    @pytest.mark.parametrize("e", [Negate(Variable(1)), BinaryOp("+", Variable(1), Literal(1.0)), Call("sin", Variable(1))])
+    def test_height_is_not_part_of_the_value(self, e):
+        assert "height" not in repr(e)
+        height = {f.name: f for f in dataclasses.fields(e)}["height"]
+        assert not (height.init or height.compare or height.repr) and height.hash is None
 
 
 _literals = st.floats(min_value=0.0, max_value=1e12, allow_nan=False, allow_infinity=False)

@@ -19,7 +19,7 @@ from rotinv.expr import (
     unparse,
 )
 from rotinv.linalg import Vector
-from test_expr import _left_chain, random_ast
+from test_expr import LEVELS, _tower, random_ast
 
 
 def _outcome(run):
@@ -48,7 +48,7 @@ def test_plans_match_the_interpreter(seed, entries):
     assert _outcome(lambda: evaluate(e, ctx)) == reference
     function, constants = e._plan
     try:
-        fast = function(ctx.point, *constants)
+        fast = function(ctx.point, constants)
     except Exception:
         fast = None
     if fast is not None:
@@ -99,11 +99,11 @@ def test_a_node_outside_the_tables_is_interpreted(monkeypatch, field, value, mak
     assert sources == []
 
 
-def test_trees_taller_than_the_limit_get_no_plan():
+@pytest.mark.parametrize("shape", LEVELS)
+def test_trees_at_the_limit_get_a_plan(shape):
     ctx = EvalContext(Vector([1.5]))
-    at_limit, beyond = _left_chain(MAX_DEPTH), _left_chain(MAX_DEPTH + 1)
-    assert evaluate(at_limit, ctx) == 1.5 * MAX_DEPTH and at_limit._plan is not None
-    assert evaluate(beyond, ctx) == 1.5 * (MAX_DEPTH + 1) and beyond._plan is None
+    at_limit = _tower(shape, MAX_DEPTH)
+    assert float.hex(evaluate(at_limit, ctx)) == float.hex(at_limit._eval(ctx)) and at_limit._plan is not None
 
 
 def test_the_plan_is_not_part_of_the_value():

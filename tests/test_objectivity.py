@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -295,6 +296,35 @@ class TestClosureCheck:
         report = radial_set_closure_check(RadialSet(3, points=(r,)), 1000, np.random.default_rng(55))
         assert report.verdict is Verdict.OBJECTIVE
         assert rechecks == []
+
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("r", [1e308, 1.7e308, 1.79e308])
+    def test_radii_near_the_double_maximum_stay_in_the_set(self, m, r):
+        report = radial_set_closure_check(RadialSet(m, points=(r,)), 500, np.random.default_rng(57))
+        assert report.verdict is Verdict.OBJECTIVE
+
+
+_BIG = sys.float_info.max
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(1, 1000),
+    n=st.integers(1, 8),
+    r=st.one_of(st.floats(1e-290, _BIG), st.sampled_from([1e307, 1e308, 1.79e308, _BIG])),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sphere_points_are_finite_and_on_their_sphere(m, n, r, seed):
+    # Norms are compared on copies scaled by the power of two that brings r
+    # into [0.5, 1), where no square overflows; numpy warns of nothing
+    # (warnings are errors in this suite).
+    z = np.random.default_rng(seed).standard_normal((2, n, m))
+    x = objectivity._to_spheres(z, np.full(n, r))
+    assert np.isfinite(x).all()
+    e = math.frexp(r)[1]
+    norms = np.linalg.norm(np.ldexp(x, -e), axis=-1)
+    assert np.all(np.abs(norms - math.ldexp(r, -e)) <= 1e-14 * math.ldexp(r, -e))
 
 
 class TestFiniteSets:
