@@ -78,7 +78,8 @@ _BINDING_POWER = {"+": (1, 2), "-": (1, 2), "*": (3, 4), "/": (3, 4), "^": (6, 5
 _NEGATE_POWER = 7
 
 # Levels input may nest and a tree may stand. parse, evaluate, unparse, ==,
-# hash and repr take at most three frames a level, which leaves a caller 200.
+# hash and repr take at most three frames a level, which leaves a caller 200;
+# copy and deepcopy return the node itself.
 MAX_DEPTH = 200
 
 
@@ -135,6 +136,12 @@ class Expression:
         if height > MAX_DEPTH:
             raise ValueError(f"expression trees are at most {MAX_DEPTH} levels tall")
         object.__setattr__(self, "height", height)
+
+    def __copy__(self) -> Expression:
+        return self  # immutable: a copy could only be an equal twin
+
+    def __deepcopy__(self, memo: dict) -> Expression:
+        return self
 
 
 @dataclass(frozen=True, slots=True)

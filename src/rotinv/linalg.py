@@ -107,9 +107,10 @@ class Vector(_Value):
         return self
 
     @classmethod
-    def _wrap(cls, data: np.ndarray) -> "Vector":  # as _trusted, for a read-only array
+    def _wrap(cls, data: np.ndarray, sq: float | None = None) -> "Vector":
+        # As _trusted, for a read-only array; sq, if given, is squared_norm()'s value.
         self = object.__new__(cls)
-        self._data, self._sq = data, None
+        self._data, self._sq = data, sq
         return self
 
     @property

@@ -197,11 +197,16 @@ class RadialSet:
     def contains_radii(self, t: np.ndarray) -> np.ndarray:
         """Elementwise membership of radii, with slack MEMBERSHIP_TOL * max(t, 2^-1022).
         The last piece starting within the slack of t holds t if any does."""
-        t = np.asarray(t, dtype=float)
-        slack = MEMBERSHIP_TOL * np.maximum(t, sys.float_info.min)
+        return self._contains_scaled(np.asarray(t, dtype=float), 0)
+
+    @np.errstate(over="ignore")
+    def _contains_scaled(self, s: np.ndarray, e: np.ndarray | int) -> np.ndarray:
+        # Membership of the radii s * 2^e judged in units of 2^e, so s * 2^e may pass
+        # the double maximum: a search key past it finds the last piece, as it should.
+        slack = MEMBERSHIP_TOL * np.maximum(s, np.ldexp(sys.float_info.min, -e))
         starts, ends = self._pieces
-        i = starts.searchsorted(t + slack, side="right") - 1
-        return (i >= 0) & (t <= ends[np.maximum(i, 0)] + slack) & np.isfinite(t)
+        i = starts.searchsorted(np.ldexp(s + slack, e), side="right") - 1
+        return (i >= 0) & (s <= np.ldexp(ends[np.maximum(i, 0)], -e) + slack) & np.isfinite(s)
 
 
 @dataclass(frozen=True)
@@ -215,8 +220,9 @@ class RadialProfile:
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple((float(t), float(v)) for t, v in self.samples))
         if self.gamma is not None:
-            for t, _ in self.samples:
-                if not self.gamma.contains_radius(t):
+            radii = [t for t, _ in self.samples]
+            for t, inside in zip(radii, self.gamma.contains_radii(radii).tolist()):
+                if not inside:
                     raise ValueError(f"sampled radius {t!r} lies outside the radius set")
         # The first sample of a radius wins, 0.0 and -0.0 are one key, and NaN is left out.
         object.__setattr__(self, "_lookup", {t: v for t, v in reversed(self.samples) if not math.isnan(t)})
@@ -252,10 +258,13 @@ class DomainSampler(Protocol):
 
 
 def radial_membership(a: RadialSet, x: Vector) -> bool:
-    """Whether x belongs to the set, i.e. its norm lies in the radius set."""
+    """Whether x belongs to the set, i.e. its norm lies in the radius set. The
+    norm is taken in units of 2^e, e the exponent of x's largest entry, so
+    a norm past the double maximum is judged as well."""
     if x.dim != a.dimension:
         raise DimensionMismatchError(f"point has dimension {x.dim}, set lives in dimension {a.dimension}")
-    return a.contains_radius(x.norm())
+    e = math.frexp(float(np.abs(x.data).max()))[1]
+    return bool(a._contains_scaled(Vector._trusted(np.ldexp(x.data, -e)).norm(), e))
 
 
 def radial_sampler(a: RadialSet) -> DomainSampler:
@@ -313,6 +322,14 @@ def _to_spheres(z: np.ndarray, radii: np.ndarray) -> np.ndarray:
         return z * (radii / norms)[..., None]
 
 
+@np.errstate(over="ignore")
+def _squared_norms(z: np.ndarray) -> np.ndarray:
+    # x.x of each row of z, bitwise as np.vdot in Vector.squared_norm: matmul
+    # takes the same BLAS ddot (einsum and add.reduce sum in other orders),
+    # but warns where x.x overflows.
+    return np.matmul(z[..., None, :], z[..., :, None])[..., 0, 0]
+
+
 def radial_set_closure_check(
     a: RadialSet, trials: int, rng: np.random.Generator
 ) -> ObjectivityReport:
@@ -342,11 +359,10 @@ def radial_set_closure_check(
         radii = sampler(rng, n)
         x = _to_spheres(rng.standard_normal((n, m)), radii)
         q = haar_stack(m, n, rng)
-        # Norms of rows scaled exactly by 2^-e into [0.5, 1): no square overflows or underflows.
+        # Norms of rows scaled exactly by 2^-e into [0.5, 1), judged in those units.
         e = np.frexp(radii)[1]
         qx = np.ldexp(np.einsum("nij,nj->ni", q, x), -e[:, None])
-        norms = np.ldexp(np.linalg.norm(qx, axis=1), e)
-        for k in np.flatnonzero(~a.contains_radii(norms)):
+        for k in np.flatnonzero(~a._contains_scaled(np.linalg.norm(qx, axis=1), e)):
             xk = Vector(x[k])
             qk = RotationMatrix._trusted(SquareMatrix(q[k]))
             if not radial_membership(a, qk.apply(xk)):
@@ -425,9 +441,9 @@ def extract_profile(
     if abs(u0.norm() - 1.0) > UNIT_TOL:
         raise NonUnitVectorError(f"u0 must be a unit vector (norm {u0.norm()!r})")
     samples: list[tuple[float, float]] = []
-    for t in grid:
-        t = float(t)
-        if not gamma.contains_radius(t):
+    grid = [float(t) for t in grid]
+    for t, inside in zip(grid, gamma.contains_radii(grid).tolist()):
+        if not inside:
             raise ValueError(f"grid radius {t!r} lies outside the radius set")
         try:
             val = float(f(Vector(t * u0.data)))
@@ -511,8 +527,6 @@ def test_function_objectivity(
             trials=0,
             tolerance=tol,
         )
-    e1 = np.zeros(m)
-    e1[0] = 1.0
     performed = 0
 
     def refuted(witness: Witness) -> ObjectivityReport:
@@ -546,7 +560,9 @@ def test_function_objectivity(
             return refuted(Witness(x=x, q=q, f_x=fx, f_qx=fqx))
         r = x.norm()
         if r >= sys.float_info.min:
-            witness = sphere_witness(x, fx, threshold, r, Vector._trusted(r * e1))
+            y = np.zeros(m)
+            y[0] = r  # r*e1
+            witness = sphere_witness(x, fx, threshold, r, Vector._trusted(y))
             if witness is not None:
                 return refuted(witness)
     cap = max(1, min(_BLOCK, _BLOCK_ENTRIES // (2 * m)))
@@ -557,22 +573,25 @@ def test_function_objectivity(
         if radii.shape != (n,):
             raise ValueError(f"the sampler returned radii of shape {radii.shape}, expected ({n},)")
         # Trial k compares the sampled point z[0, k] with the direct-check
-        # point z[1, k], then with the profile point t*e1 = profile[k].
+        # point z[1, k], then with the profile point t*e1 = profile[k],
+        # whose x.x is t*t. The block's rows take theirs from one batch,
+        # which a single trial would pay more for than it saves.
         z = _freeze(_to_spheres(rng.standard_normal((2, n, m)), radii))
         profile = np.zeros((n, m))
         profile[:, 0] = radii  # t*e1, without its NaN where t is infinite
         _freeze(profile)
-        for k, t in enumerate(radii.tolist()):
+        sq = _squared_norms(z).tolist() if n > 1 else [[None], [None]]
+        for t, xk, yk, pk, x_sq, y_sq in zip(radii.tolist(), z[0], z[1], profile, *sq):
             if not 0.0 <= t < math.inf:
                 raise ValueError(f"the sampler returned the radius {t!r}")
             performed += 1
-            x = Vector._wrap(z[0, k])
+            x = Vector._wrap(xk, x_sq)
             fx = _checked_value(f, x)
             if t < sys.float_info.min:
                 continue
             threshold = tol * max(1.0, abs(fx))
-            witness = (sphere_witness(x, fx, threshold, t, Vector._wrap(z[1, k]))
-                       or sphere_witness(x, fx, threshold, t, Vector._wrap(profile[k])))
+            witness = (sphere_witness(x, fx, threshold, t, Vector._wrap(yk, y_sq))
+                       or sphere_witness(x, fx, threshold, t, Vector._wrap(pk, t * t)))
             if witness is not None:
                 return refuted(witness)
         done += n

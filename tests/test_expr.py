@@ -407,6 +407,20 @@ class TestHeight:
         assert twin.height == e.height == _longest_path(e)
         assert Negate(twin).height == e.height + 1
 
+    @pytest.mark.parametrize("how", [copy.copy, copy.deepcopy], ids=["copy", "deepcopy"])
+    @pytest.mark.parametrize("shape", LEVELS)
+    def test_copies_at_the_limit_leave_a_caller_its_headroom(self, how, shape):
+        # A node is immutable, so its copies are the node itself; a walk
+        # copying every level would take four frames a level.
+        e = _tower(shape, MAX_DEPTH)
+        twin = _below(HEADROOM, lambda: how(e))
+        assert twin is e and twin == e and twin.height == MAX_DEPTH
+
+    def test_deepcopy_of_a_parsed_tree_at_the_limit(self):
+        e = parse("-" * (MAX_DEPTH - 1) + "x1")
+        twin = _below(HEADROOM, lambda: copy.deepcopy([e, e]))
+        assert twin[0] is e and twin[1] is e
+
     def test_replace_recomputes_the_height(self):
         e = BinaryOp("*", Variable(1), Literal(2.0))
         assert dataclasses.replace(e, left=_tower("negate", 10)).height == 11

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rotinv import objectivity
-from rotinv.expr import EvalContext, evaluate, parse
+from rotinv.expr import EvalContext, ExpressionError, evaluate, parse
 from rotinv.linalg import DimensionMismatchError, SquareMatrix, Vector
 from rotinv.objectivity import (
     Method,
@@ -32,9 +32,10 @@ from rotinv.objectivity import (
     symmetric_part,
     test_function_objectivity,
 )
-from rotinv.rotation import NonUnitVectorError, haar_stack, rotation_2d, validate_rotation
+from rotinv.rotation import NonUnitVectorError, RotationMatrix, haar_stack, rotation_2d, validate_rotation
 
 E1_2 = Vector([1.0, 0.0])
+_BIG = sys.float_info.max
 
 
 class TestRadialSet:
@@ -117,7 +118,8 @@ class TestMembership:
     )
     def test_membership_does_not_depend_on_the_units(self, intervals, points, offsets, k):
         # Radii on both sides of every endpoint's slack, then the set and
-        # the radii scaled by 2^k, which is exact for all of them.
+        # the radii scaled by 2^k, which is exact for all of them, also with
+        # each scaled radius t judged as s * 2^e for (s, e) = frexp(t).
         if not intervals and not points:
             points = [1.0]
         a = RadialSet(2, intervals=tuple(map(tuple, intervals)), points=tuple(points))
@@ -126,6 +128,19 @@ class TestMembership:
         scaled = RadialSet(2, intervals=tuple((math.ldexp(lo, k), math.ldexp(hi, k)) for lo, hi in a.intervals),
                            points=tuple(math.ldexp(p, k) for p in a.points))
         assert scaled.contains_radii(np.ldexp(radii, k)).tolist() == a.contains_radii(radii).tolist()
+        assert scaled._contains_scaled(*np.frexp(np.ldexp(radii, k))).tolist() == a.contains_radii(radii).tolist()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_rotated_points_at_the_double_maximum_belong(self, m):
+        # Their norms round past the double maximum about a quarter of the
+        # time; membership is judged in units of the largest entry's exponent.
+        a = RadialSet(m, points=(_BIG,))
+        rng = np.random.default_rng(58)
+        x = objectivity._to_spheres(rng.standard_normal((200, m)), np.full(200, _BIG))
+        for xk, qk in zip(x, haar_stack(m, 200, rng)):
+            assert radial_membership(a, Vector(xk))
+            assert radial_membership(a, Vector._trusted(qk @ xk))
 
     def test_array_membership_matches_scalar(self):
         a = RadialSet(2, intervals=((1.0, 2.0),), points=(0.0, 1e5))
@@ -304,8 +319,18 @@ class TestClosureCheck:
         report = radial_set_closure_check(RadialSet(m, points=(r,)), 500, np.random.default_rng(57))
         assert report.verdict is Verdict.OBJECTIVE
 
-
-_BIG = sys.float_info.max
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("a", [
+        {"points": (_BIG,)},
+        {"intervals": ((1e308, _BIG),)},
+    ], ids=["point", "interval"])
+    def test_the_double_maximum_stays_in_the_set(self, m, a):
+        # Rotated norms there round past the double maximum; they are
+        # judged in units of 2^-e, with no overflow warning.
+        report = radial_set_closure_check(RadialSet(m, **a), 500, np.random.default_rng(1))
+        assert report.verdict is Verdict.OBJECTIVE
+        assert report.trials == 500
 
 
 @settings(max_examples=300, deadline=None)
@@ -325,6 +350,28 @@ def test_sphere_points_are_finite_and_on_their_sphere(m, n, r, seed):
     e = math.frexp(r)[1]
     norms = np.linalg.norm(np.ldexp(x, -e), axis=-1)
     assert np.all(np.abs(norms - math.ldexp(r, -e)) <= 1e-14 * math.ldexp(r, -e))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 100),
+    n=st.integers(1, 256),
+    bounds=st.tuples(st.floats(2.2e-308, 1.79e308), st.floats(2.2e-308, 1.79e308)).map(sorted),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=3, n=256, bounds=[1e200, 1.79e308], seed=0)
+def test_batched_squares_match_each_rows_vdot(m, n, bounds, seed):
+    # A block's x.x from one batched product equals, bit for bit and inf
+    # included, what Vector.squared_norm computes row by row; a profile
+    # row t*e1 has x.x = t*t exactly. Radii are log-uniform between the bounds.
+    rng = np.random.default_rng(seed)
+    radii = np.exp2(rng.uniform(*np.log2(bounds), n))
+    z = objectivity._to_spheres(rng.standard_normal((2, n, m)), radii)
+    rows = [float(np.vdot(row, row)) for side in z for row in side]
+    assert objectivity._squared_norms(z).tobytes() == np.array(rows).tobytes()
+    profile = np.zeros((n, m))
+    profile[:, 0] = radii
+    assert [float(np.vdot(p, p)) for p in profile] == [t * t for t in radii.tolist()]
 
 
 class TestFiniteSets:
@@ -433,6 +480,18 @@ class TestExtractProfile:
         gamma = RadialSet(2, points=(1.0,))
         with pytest.raises(ValueError):
             extract_profile(lambda x: 0.0, gamma, E1_2, [3.0])
+
+    def test_grid_radii_fail_in_grid_order(self):
+        # A radius outside the set is reported where the grid reaches it,
+        # after the evaluations before it and before those after it.
+        def f(x):
+            raise ArithmeticError("no value")
+
+        gamma = RadialSet(2, intervals=((0.0, 2.0),))
+        with pytest.raises(ProfileEvaluationError, match="radius 1.0"):
+            extract_profile(f, gamma, E1_2, [1.0, 3.0])
+        with pytest.raises(ValueError, match="grid radius 3.0 lies outside"):
+            extract_profile(f, gamma, E1_2, [3.0, 1.0])
 
 
 class TestRadialProfile:
@@ -658,6 +717,71 @@ class TestFunctionObjectivity:
         a = test_function_objectivity(f, 3, sampler, 200, rng=np.random.default_rng(75))
         b = test_function_objectivity(f, 3, sampler, 200, rng=np.random.default_rng(75))
         assert a == b
+
+    def test_blocks_of_two_or_more_trials_take_no_vdot(self, monkeypatch):
+        # Blocks of 1, 2 and 4 trials of a radial f: only the single trial
+        # takes x.x lazily, for x and for its direct-check point; the
+        # profile point's is t*t.
+        calls = []
+        vdot = np.vdot
+        monkeypatch.setattr(np, "vdot", lambda a, b: calls.append(a.size) or vdot(a, b))
+        e = parse("norm(x)^2 + sin(norm(x))")
+        f = lambda x: evaluate(e, EvalContext.at_point(x))
+        sampler = radial_sampler(RadialSet(3, intervals=((0.5, 2.0),)))
+        report = test_function_objectivity(f, 3, sampler, 7, rng=np.random.default_rng(82))
+        assert report.verdict is Verdict.INCONCLUSIVE and report.trials == 7
+        assert calls == [3, 3]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        template=st.sampled_from([
+            "norm(x)^2 + sin(norm(x))", "dot(x,x)/(1 + norm(x))", "exp(-{a}*norm(x))",
+            "x1", "x1*x2 + {a}", "{a}*x1 + norm(x)^3", "x2/norm(x) - dot(x,x)", "sin({a}*x1) + dot(x,x)",
+        ]),
+        a=st.floats(0.5, 2.0),
+        m=st.integers(2, 40),
+        low=st.floats(0.01, 5.0),
+        width=st.floats(0.0, 20.0),
+        k=st.integers(-1000, 1000),
+        seed=st.integers(0, 2**32 - 1),
+        pin=st.booleans(),
+    )
+    def test_batched_squares_leave_every_report_unchanged(self, template, a, m, low, width, k, seed, pin):
+        # The same seeded run with every block row's x.x computed lazily
+        # gives the same values of f in the same order, the same verdict,
+        # trials and witness bytes, or the same error where x.x overflows.
+        # Radii span 2^k units.
+        e = parse(template.format(a=repr(a)))
+        values = []
+
+        def f(x):
+            values.append(value := evaluate(e, EvalContext.at_point(x)))
+            return value
+
+        lo, hi = math.ldexp(low, k), math.ldexp(low + width, k)
+        sampler = radial_sampler(RadialSet(m, intervals=((lo, hi),)) if hi > lo else RadialSet(m, points=(lo,)))
+
+        def outcome():
+            values.clear()
+            rng = np.random.default_rng(seed)
+            pinned = ()
+            if pin:
+                u = rng.standard_normal(m)
+                q = RotationMatrix._trusted(SquareMatrix._trusted(haar_stack(m, 1, rng)[0]))
+                pinned = ((Vector(sampler(rng)[0] * u / np.linalg.norm(u)), q),)
+            try:
+                report = test_function_objectivity(f, m, sampler, 300, rng=rng, pinned=pinned)
+            except (ExpressionError, NonFiniteValueError) as exc:
+                return type(exc), str(exc), list(map(float.hex, values))
+            w = report.witness
+            return report.verdict, report.trials, list(map(float.hex, values)), w and (
+                float.hex(w.f_x), float.hex(w.f_qx), w.x.data.tobytes(), w.q.data.tobytes())
+
+        batched = outcome()
+        wrap = Vector._wrap.__func__
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Vector, "_wrap", classmethod(lambda cls, data, sq=None: wrap(cls, data)))
+            assert outcome() == batched
 
 
 class TestSymmetricPart:
