@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import types
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -438,7 +439,8 @@ def evaluate(e: Expression, ctx: EvalContext) -> float:
     """Evaluate an AST at the context's binding. Deterministic: identical
     (expression, context) pairs give bitwise-identical results: a root is
     compiled on its first evaluation to straight-line code, shared by its
-    shape, with the per-node interpreter's float operations in its order.
+    shape and bound to its constants, with the per-node interpreter's
+    float operations in its order.
     The interpreter evaluates what that code cannot: any error, raised
     with its offset."""
     if not isinstance(e, Expression):
@@ -450,7 +452,7 @@ def evaluate(e: Expression, ctx: EvalContext) -> float:
         object.__setattr__(e, "_plan", plan)
     if plan is not None:
         try:
-            value = plan[0](ctx.point, plan[1])
+            value = plan(ctx.point)
         except Exception:  # every error is raised by the interpreter below
             value = None
         if value is not None:
@@ -464,14 +466,15 @@ def evaluate(e: Expression, ctx: EvalContext) -> float:
 _BINARY_SOURCE = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}", "^": "pow({}, {})"}
 _CALL_SOURCE = {name: name + "({})" for name in SCALAR_FUNCTIONS}
 _VECTOR_SOURCE = {"norm": ("n", "n = p.norm()"), "dot": ("s", "s = p.squared_norm()")}
+_PLAN_GLOBALS = {"__builtins__": {}, "pow": math.pow, **SCALAR_FUNCTIONS}
 
 
-def _build_plan(e: Expression) -> tuple | None:
-    """(function, constants), where function(point, constants) is e's value
-    at the point, or None if an intermediate is not finite; None for a
-    node outside the tables above. checked lists each value the
-    interpreter checks is finite, and stack the operand source of each
-    pending subtree."""
+def _build_plan(e: Expression) -> types.FunctionType | None:
+    """plan, where plan(point) is e's value at the point, or None if an
+    intermediate is not finite; e's constants are the defaults of plan's
+    parameters c0, c1, .... None for a node outside the tables above.
+    checked lists each value the interpreter checks is finite, and stack
+    the operand source of each pending subtree."""
     constants, reads, lines, checked, stack = [], {}, [], [], []
     for node in _postorder(e):
         kind = type(node)
@@ -498,17 +501,18 @@ def _build_plan(e: Expression) -> tuple | None:
             checked.append(operand)
         stack.append(operand)
     # 0 * t is 0 for finite t and NaN otherwise.
-    source = (f"def plan(p, c):\n    [{', '.join(f'c{k}' for k in range(len(constants)))}] = c\n"
+    source = (f"def plan({', '.join(['p', *(f'c{k}' for k in range(len(constants)))])}):\n"
               + "".join(f"    {line}\n" for line in [*reads.values(), *lines])
               + f"    if {' * '.join(['0.0', *checked])} == 0.0:\n        return {stack[0]}\n")
-    return _compile(source), tuple(constants)
+    return types.FunctionType(_compile(source), _PLAN_GLOBALS, "plan", tuple(constants))
 
 
 @functools.lru_cache(maxsize=256)
-def _compile(source: str):
-    namespace = {"__builtins__": {}, "pow": math.pow, **SCALAR_FUNCTIONS}
-    exec(compile(source, "<expression plan>", "exec"), namespace)
-    return namespace["plan"]
+def _compile(source: str) -> types.CodeType:
+    """The code of the one function the source defines, shared by every tree of its shape."""
+    namespace = {}
+    exec(compile(source, "<expression plan>", "exec"), _PLAN_GLOBALS, namespace)
+    return namespace["plan"].__code__
 
 
 # --- unparse ---------------------------------------------------------------

@@ -106,13 +106,6 @@ class Vector(_Value):
         self._data, self._sq = _freeze(data), None
         return self
 
-    @classmethod
-    def _wrap(cls, data: np.ndarray, sq: float | None = None) -> "Vector":
-        # As _trusted, for a read-only array; sq, if given, is squared_norm()'s value.
-        self = object.__new__(cls)
-        self._data, self._sq = data, sq
-        return self
-
     @property
     def dim(self) -> int:
         return self._data.size
@@ -129,7 +122,9 @@ class Vector(_Value):
         Where x.x overflows (some entry exceeds 2^500) it is taken on a copy
         scaled by 2^-600, and where x.x < 2^-900 (every entry is below
         2^-450) on a copy scaled by 2^600."""
-        sq = self.squared_norm()
+        sq = self._sq
+        if sq is None:
+            sq = self.squared_norm()
         if 2.0**-900 <= sq < math.inf:
             return math.sqrt(sq)
         scale = 2.0**-600 if sq == math.inf else 2.0**600
@@ -141,6 +136,15 @@ class Vector(_Value):
 
     def __iter__(self) -> Iterator[float]:
         return iter(self._data.tolist())
+
+
+def _wrap(data: np.ndarray, sq: float | None = None) -> Vector:
+    # As Vector._trusted, for a read-only array; sq, if given, is squared_norm()'s
+    # value. A plain function, cheaper to call than a classmethod: the Monte-Carlo
+    # trial loop wraps three rows per trial.
+    v = object.__new__(Vector)
+    v._data, v._sq = data, sq
+    return v
 
 
 class SquareMatrix(_Value):

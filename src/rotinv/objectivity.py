@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, SquareMatrix, Vector, _freeze, symmetric_eigen_extremes
+from .linalg import DimensionMismatchError, SquareMatrix, Vector, _freeze, _wrap, symmetric_eigen_extremes
 # haar_sample is not called here; the benchmark's tracer
 # (perfbench/layers.py) wraps it under this module's name.
 from .rotation import (  # noqa: F401
@@ -348,6 +349,7 @@ def radial_set_closure_check(
     slack grows with the radius as rotation roundoff does, so a
     reported escape means an implementation bug.
     """
+    trials = operator.index(trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     m = a.dimension
@@ -457,10 +459,14 @@ def extract_profile(
     return RadialProfile(samples=tuple(samples), gamma=gamma)
 
 
+def _non_finite(val: float, x: Vector) -> NonFiniteValueError:
+    return NonFiniteValueError(f"function returned non-finite value {val!r} at {x!r}")
+
+
 def _checked_value(f: Callable[[Vector], float], x: Vector) -> float:
     val = float(f(x))
     if not math.isfinite(val):
-        raise NonFiniteValueError(f"function returned non-finite value {val!r} at {x!r}")
+        raise _non_finite(val, x)
     return val
 
 
@@ -514,6 +520,7 @@ def test_function_objectivity(
     each compares f(qx) with f(x) for its own q, then runs the profile
     check.
     """
+    trials = operator.index(trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0.0 < tol < math.inf:
@@ -538,18 +545,15 @@ def test_function_objectivity(
             witness=witness,
         )
 
-    def sphere_witness(x: Vector, fx: float, threshold: float, r: float, y: Vector) -> Witness | None:
-        # Compare f(x) with f(y), y a point of the sphere of radius r that
-        # x lies on; confirm a violation through the rotation carrying x
-        # onto y. x may be a row view of a block, so the witness copies it.
-        fy = _checked_value(f, y)
-        if abs(fx - fy) <= threshold:
-            return None
+    def confirmed(x: Vector, fx: float, threshold: float, r: float, y: Vector) -> ObjectivityReport | None:
+        # f(y), y a point of the sphere of radius r that x lies on, separated
+        # from f(x): refute if f(qx) does too, q the rotation carrying x onto
+        # y. x may be a row view of a block, so the witness copies it.
         q = rotation_mapping(Vector._trusted(x.data / r), Vector._trusted(y.data / r))
         fqx = _checked_value(f, q.apply(x))
         if abs(fx - fqx) <= threshold:
             return None
-        return Witness(x=Vector._trusted(x.data.copy()), q=q, f_x=fx, f_qx=fqx)
+        return refuted(Witness(x=Vector._trusted(x.data.copy()), q=q, f_x=fx, f_qx=fqx))
 
     for x, q in pinned:
         performed += 1
@@ -560,11 +564,12 @@ def test_function_objectivity(
             return refuted(Witness(x=x, q=q, f_x=fx, f_qx=fqx))
         r = x.norm()
         if r >= sys.float_info.min:
-            y = np.zeros(m)
-            y[0] = r  # r*e1
-            witness = sphere_witness(x, fx, threshold, r, Vector._trusted(y))
-            if witness is not None:
-                return refuted(witness)
+            ray = np.zeros(m)
+            ray[0] = r  # r*e1
+            y = Vector._trusted(ray)
+            if abs(fx - _checked_value(f, y)) > threshold and (report := confirmed(x, fx, threshold, r, y)):
+                return report
+    tiny, inf, isfinite = sys.float_info.min, math.inf, math.isfinite
     cap = max(1, min(_BLOCK, _BLOCK_ENTRIES // (2 * m)))
     block, done = 1, 0
     while done < trials:
@@ -575,25 +580,36 @@ def test_function_objectivity(
         # Trial k compares the sampled point z[0, k] with the direct-check
         # point z[1, k], then with the profile point t*e1 = profile[k],
         # whose x.x is t*t. The block's rows take theirs from one batch,
-        # which a single trial would pay more for than it saves.
+        # which a single trial would pay more for than it saves. The values
+        # are compared here, and only one past the threshold is confirmed.
         z = _freeze(_to_spheres(rng.standard_normal((2, n, m)), radii))
         profile = np.zeros((n, m))
         profile[:, 0] = radii  # t*e1, without its NaN where t is infinite
         _freeze(profile)
         sq = _squared_norms(z).tolist() if n > 1 else [[None], [None]]
         for t, xk, yk, pk, x_sq, y_sq in zip(radii.tolist(), z[0], z[1], profile, *sq):
-            if not 0.0 <= t < math.inf:
+            if not 0.0 <= t < inf:
                 raise ValueError(f"the sampler returned the radius {t!r}")
             performed += 1
-            x = Vector._wrap(xk, x_sq)
-            fx = _checked_value(f, x)
-            if t < sys.float_info.min:
+            x = _wrap(xk, x_sq)
+            fx = float(f(x))
+            if not isfinite(fx):
+                raise _non_finite(fx, x)
+            if t < tiny:
                 continue
             threshold = tol * max(1.0, abs(fx))
-            witness = (sphere_witness(x, fx, threshold, t, Vector._wrap(yk, y_sq))
-                       or sphere_witness(x, fx, threshold, t, Vector._wrap(pk, t * t)))
-            if witness is not None:
-                return refuted(witness)
+            y = _wrap(yk, y_sq)
+            fy = float(f(y))
+            if not isfinite(fy):
+                raise _non_finite(fy, y)
+            if abs(fx - fy) > threshold and (report := confirmed(x, fx, threshold, t, y)):
+                return report
+            y = _wrap(pk, t * t)  # a float product: numpy's would warn where t*t overflows
+            fy = float(f(y))
+            if not isfinite(fy):
+                raise _non_finite(fy, y)
+            if abs(fx - fy) > threshold and (report := confirmed(x, fx, threshold, t, y)):
+                return report
         done += n
         block = min(2 * block, cap)
     return ObjectivityReport(

@@ -1,7 +1,10 @@
 import bisect
+import hashlib
 import itertools
 import math
+import struct
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -32,10 +35,38 @@ from rotinv.objectivity import (
     symmetric_part,
     test_function_objectivity,
 )
-from rotinv.rotation import NonUnitVectorError, RotationMatrix, haar_stack, rotation_2d, validate_rotation
+from rotinv.rotation import (
+    NonUnitVectorError,
+    RotationMatrix,
+    haar_stack,
+    rotation_2d,
+    rotation_mapping,
+    validate_rotation,
+)
 
 E1_2 = Vector([1.0, 0.0])
 _BIG = sys.float_info.max
+
+# The benchmark's radial and coordinate expression templates, and a cap
+# around the x2 axis that sampling finds only after some trials.
+PINNED_TEMPLATES = (
+    "{a}*norm(x)^2 + sin({b}*norm(x))",
+    "exp(-{a}*norm(x)) + {b}*dot(x,x)",
+    "{a}/(1 + norm(x)^2) + cos({b}*norm(x))",
+    "sqrt({a} + norm(x))*log({b} + norm(x))",
+    "{a}*x1 + norm(x)",
+    "x1*x2 + {b}",
+    "sin({a}*x1) + dot(x,x)",
+    "exp({a}*x2/norm(x))",
+    "x1^2 - {b}*x2^2",
+    "dot(x,x) - {a}*x1",
+    "{a}*norm(x) + exp(-200*(x2/norm(x) - 1)^2)",
+)
+PINNED_RADII = ({"points": (0.0,)}, {"points": (1e-310,)}, {"points": (1.0,)}, {"intervals": ((1.0, 1.5),)},
+                {"points": (1e300,)}, {"intervals": ((1e300, 1.5e300),)})
+# Recorded before the trial loop compared f's values itself instead of through
+# a helper per comparison point: that change must not move a bit.
+REPORT_DIGEST = "482de16f1a6c2c199487067a68b97462338d5963f655c9e3508b080ec82e3155"
 
 
 class TestRadialSet:
@@ -247,6 +278,17 @@ class TestClosureCheck:
     def test_requires_trials(self):
         with pytest.raises(ValueError):
             radial_set_closure_check(RadialSet(2, points=(1.0,)), 0, np.random.default_rng(0))
+
+    def test_the_budget_must_be_an_integer(self):
+        # 2.5 is refused before the generator moves; a numpy integer is a count.
+        a = RadialSet(3, intervals=((0.5, 2.0),))
+        rng = np.random.default_rng(53)
+        state = rng.bit_generator.state
+        with pytest.raises(TypeError):
+            radial_set_closure_check(a, 2.5, rng)
+        assert rng.bit_generator.state == state
+        report = radial_set_closure_check(a, np.int64(7), rng)
+        assert report.verdict is Verdict.OBJECTIVE and report.trials == 7 and type(report.trials) is int
 
     def test_large_isolated_radius_does_not_escape(self):
         report = radial_set_closure_check(RadialSet(3, points=(1e5,)), 2000, np.random.default_rng(0))
@@ -718,6 +760,64 @@ class TestFunctionObjectivity:
         b = test_function_objectivity(f, 3, sampler, 200, rng=np.random.default_rng(75))
         assert a == b
 
+    def test_seeded_reports_match_the_recorded_digest(self):
+        # Every point f is asked for, in order, with its value, and every
+        # report or error, over the benchmark's radial and coordinate
+        # templates and a hidden cap, unpinned, pinned with the identity
+        # (the profile check refutes) and pinned with a random rotation.
+        h = hashlib.sha256()
+        runs = itertools.product(PINNED_TEMPLATES, (2, 3, 8, 32), PINNED_RADII, (None, "identity", "random"))
+        for seed, (template, m, radii, pin) in enumerate(runs):
+            e = parse(template.format(a=1.3, b=0.7))
+
+            def f(x):
+                h.update(x.data.tobytes())
+                value = evaluate(e, EvalContext.at_point(x))
+                h.update(struct.pack("<d", value))
+                return value
+
+            sampler = radial_sampler(RadialSet(m, **radii))
+            rng = np.random.default_rng(seed)
+            pinned = ()
+            if pin:
+                u, v = (w / np.linalg.norm(w) for w in rng.standard_normal((2, m)))
+                q = rotation_mapping(Vector(u), Vector(u if pin == "identity" else v))
+                pinned = ((Vector(sampler(rng)[0] * u), q),)
+            try:
+                report = test_function_objectivity(f, m, sampler, 300, rng=rng, pinned=pinned)
+            except (ExpressionError, NonFiniteValueError) as exc:
+                h.update(f"{type(exc).__name__}: {exc}".encode())
+                continue
+            h.update(f"{report.verdict.value} {report.trials}".encode())
+            if (w := report.witness) is not None:
+                h.update(w.x.data.tobytes() + w.q.data.tobytes() + struct.pack("<2d", w.f_x, w.f_qx))
+        assert h.hexdigest() == REPORT_DIGEST
+
+    @pytest.mark.parametrize("m", (2, 3, 8))
+    @pytest.mark.parametrize("source", ["exp(-norm(x))", "1/(1 + norm(x))"])
+    def test_radial_values_past_the_squared_double_maximum_raise_no_warning(self, m, source):
+        # t*t overflows for every radius here; 20 trials reach blocks of 2, 4 and 8.
+        e = parse(source)
+        f = lambda x: evaluate(e, EvalContext.at_point(x))
+        sampler = radial_sampler(RadialSet(m, intervals=((1e300, 1.5e300),)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = test_function_objectivity(f, m, sampler, 20, rng=np.random.default_rng(84))
+        assert report.verdict is Verdict.INCONCLUSIVE and report.trials == 20
+
+    def test_the_budget_must_be_an_integer(self):
+        # 2.5 is refused before f is called or the generator moves; a numpy integer is a count.
+        calls = []
+        f = lambda x: calls.append(x) or 0.0
+        sampler = radial_sampler(RadialSet(3, intervals=((0.5, 2.0),)))
+        rng = np.random.default_rng(85)
+        state = rng.bit_generator.state
+        with pytest.raises(TypeError):
+            test_function_objectivity(f, 3, sampler, 2.5, rng=rng)
+        assert calls == [] and rng.bit_generator.state == state
+        report = test_function_objectivity(f, 3, sampler, np.int64(7), rng=rng)
+        assert report.verdict is Verdict.INCONCLUSIVE and report.trials == 7 and len(calls) == 21
+
     def test_blocks_of_two_or_more_trials_take_no_vdot(self, monkeypatch):
         # Blocks of 1, 2 and 4 trials of a radial f: only the single trial
         # takes x.x lazily, for x and for its direct-check point; the
@@ -778,9 +878,9 @@ class TestFunctionObjectivity:
                 float.hex(w.f_x), float.hex(w.f_qx), w.x.data.tobytes(), w.q.data.tobytes())
 
         batched = outcome()
-        wrap = Vector._wrap.__func__
+        wrap = objectivity._wrap
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(Vector, "_wrap", classmethod(lambda cls, data, sq=None: wrap(cls, data)))
+            patch.setattr(objectivity, "_wrap", lambda data, sq=None: wrap(data))
             assert outcome() == batched
 
 
